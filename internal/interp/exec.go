@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/nir"
 	"repro/internal/primitive"
@@ -41,24 +40,24 @@ func ExecInstr(env *Env, in *nir.Instr) (int, error) {
 	case nir.OpBinS:
 		a, b := env.ScalarOf(in.A), env.ScalarOf(in.B)
 		if in.Cmp != nir.CInvalid {
-			v, err := scalarCmp(in.Cmp, in.Kind, a, b)
-			if err != nil {
-				return 0, err
+			r, ok := primitive.ScalarCmp(in.Kind, in.Cmp, a, b)
+			if !ok {
+				return 0, fmt.Errorf("interp: scalar comparison %v not defined on %v", in.Cmp, in.Kind)
 			}
-			env.SetScalar(in.Dst, v)
+			env.SetScalar(in.Dst, vector.BoolValue(r))
 			return 1, nil
 		}
-		v, err := scalarArith(in.Arith, in.Kind, a, b)
-		if err != nil {
-			return 0, err
+		v, ok := primitive.ScalarArith(in.Kind, in.Arith, a, b)
+		if !ok {
+			return 0, fmt.Errorf("interp: scalar op %v not defined on %v", in.Arith, in.Kind)
 		}
 		env.SetScalar(in.Dst, v)
 		return 1, nil
 
 	case nir.OpUnS:
-		v, err := scalarUnary(in.Unary, in.Kind, env.ScalarOf(in.A))
-		if err != nil {
-			return 0, err
+		v, ok := primitive.ScalarUnary(in.Kind, in.Unary, env.ScalarOf(in.A))
+		if !ok {
+			return 0, fmt.Errorf("interp: scalar unary %v not defined on %v", in.Unary, in.Kind)
 		}
 		env.SetScalar(in.Dst, v)
 		return 1, nil
@@ -295,7 +294,11 @@ func execMapCmp(env *Env, in *nir.Instr) (int, error) {
 func execCast(env *Env, in *nir.Instr) (int, error) {
 	if env.Prog.Reg(in.A).Scalar {
 		v := env.ScalarOf(in.A)
-		env.SetScalar(in.Dst, castScalar(v, in.Kind))
+		out, ok := primitive.ScalarCast(v, in.Kind)
+		if !ok {
+			return 0, fmt.Errorf("interp: no cast %v→%v", v.Kind, in.Kind)
+		}
+		env.SetScalar(in.Dst, out)
 		return 1, nil
 	}
 	f := env.FlowOf(in.A)
@@ -312,168 +315,4 @@ func execCast(env *Env, in *nir.Instr) (int, error) {
 	k(dst, f.Vec, f.Sel, 0, primitive.Span(f.Vec, f.Sel))
 	env.SetFlow(in.Dst, Flow{Vec: dst, Sel: f.Sel})
 	return f.Len(), nil
-}
-
-func castScalar(v vector.Value, to vector.Kind) vector.Value {
-	if v.Kind == to {
-		return v
-	}
-	if to == vector.F64 {
-		if v.Kind == vector.F64 {
-			return v
-		}
-		return vector.F64Value(float64(v.I))
-	}
-	var i int64
-	if v.Kind == vector.F64 {
-		i = int64(v.F)
-	} else {
-		i = v.I
-	}
-	switch to {
-	case vector.I8:
-		i = int64(int8(i))
-	case vector.I16:
-		i = int64(int16(i))
-	case vector.I32:
-		i = int64(int32(i))
-	}
-	return vector.IntValue(to, i)
-}
-
-// scalarArith evaluates a scalar arithmetic op in the given kind.
-func scalarArith(op nir.ArithOp, kind vector.Kind, a, b vector.Value) (vector.Value, error) {
-	if kind == vector.Bool {
-		switch op {
-		case nir.AAnd:
-			return vector.BoolValue(a.B && b.B), nil
-		case nir.AOr:
-			return vector.BoolValue(a.B || b.B), nil
-		case nir.AXor:
-			return vector.BoolValue(a.B != b.B), nil
-		}
-		return vector.Value{}, fmt.Errorf("interp: scalar op %v not defined on bool", op)
-	}
-	if kind == vector.F64 {
-		x, y := a.F, b.F
-		var r float64
-		switch op {
-		case nir.AAdd:
-			r = x + y
-		case nir.ASub:
-			r = x - y
-		case nir.AMul:
-			r = x * y
-		case nir.ADiv:
-			r = x / y
-		case nir.AMin:
-			r = math.Min(x, y)
-		case nir.AMax:
-			r = math.Max(x, y)
-		default:
-			return vector.Value{}, fmt.Errorf("interp: scalar op %v not defined on f64", op)
-		}
-		return vector.F64Value(r), nil
-	}
-	x, y := a.I, b.I
-	var r int64
-	switch op {
-	case nir.AAdd:
-		r = x + y
-	case nir.ASub:
-		r = x - y
-	case nir.AMul:
-		r = x * y
-	case nir.ADiv:
-		if y == 0 {
-			r = 0
-		} else {
-			r = x / y
-		}
-	case nir.AMod:
-		if y == 0 {
-			r = 0
-		} else {
-			r = x % y
-		}
-	case nir.AAnd:
-		r = x & y
-	case nir.AOr:
-		r = x | y
-	case nir.AXor:
-		r = x ^ y
-	case nir.AShl:
-		r = x << (uint64(y) & 63)
-	case nir.AShr:
-		r = x >> (uint64(y) & 63)
-	case nir.AMin:
-		r = x
-		if y < x {
-			r = y
-		}
-	case nir.AMax:
-		r = x
-		if y > x {
-			r = y
-		}
-	default:
-		return vector.Value{}, fmt.Errorf("interp: unknown scalar op %v", op)
-	}
-	return vector.IntValue(kind, r), nil
-}
-
-// scalarCmp evaluates a scalar comparison in the operand kind.
-func scalarCmp(op nir.CmpOp, kind vector.Kind, a, b vector.Value) (vector.Value, error) {
-	var lt, eq bool
-	switch kind {
-	case vector.F64:
-		lt, eq = a.F < b.F, a.F == b.F
-	case vector.Bool:
-		lt, eq = !a.B && b.B, a.B == b.B
-	case vector.Str:
-		lt, eq = a.S < b.S, a.S == b.S
-	default:
-		lt, eq = a.I < b.I, a.I == b.I
-	}
-	var r bool
-	switch op {
-	case nir.CEq:
-		r = eq
-	case nir.CNe:
-		r = !eq
-	case nir.CLt:
-		r = lt
-	case nir.CLe:
-		r = lt || eq
-	case nir.CGt:
-		r = !lt && !eq
-	case nir.CGe:
-		r = !lt
-	default:
-		return vector.Value{}, fmt.Errorf("interp: unknown comparison %v", op)
-	}
-	return vector.BoolValue(r), nil
-}
-
-func scalarUnary(op nir.UnaryOp, kind vector.Kind, a vector.Value) (vector.Value, error) {
-	switch op {
-	case nir.UNeg:
-		if kind == vector.F64 {
-			return vector.F64Value(-a.F), nil
-		}
-		return vector.IntValue(kind, -a.I), nil
-	case nir.UNot:
-		return vector.BoolValue(!a.B), nil
-	case nir.UAbs:
-		if kind == vector.F64 {
-			return vector.F64Value(math.Abs(a.F)), nil
-		}
-		if a.I < 0 {
-			return vector.IntValue(kind, -a.I), nil
-		}
-		return a, nil
-	case nir.USqrt:
-		return vector.F64Value(math.Sqrt(a.F)), nil
-	}
-	return vector.Value{}, fmt.Errorf("interp: unknown unary %v", op)
 }

@@ -5,11 +5,18 @@
 // our compilation infrastructure, such that they will be available during
 // runtime with near to zero compilation effort."
 //
-// In this reproduction the kernels are generated ahead of time
-// (gen_kernels.py → kernels_gen.go): one monomorphic tight loop per
-// (operation, element kind, operand shape) combination, each in a
-// no-selection and a selection-vector variant — the classic
-// MonetDB/Vectorwise primitive matrix.
+// Here the Go compiler does the generating: kernels.go holds one generic loop
+// per (operation, operand shape), each with a no-selection and a
+// selection-vector variant, and init instantiates it for every element kind
+// (i8, i16, i32, i64, f64; bool where defined) into the lookup tables below —
+// the classic MonetDB/Vectorwise primitive matrix. Each kind is its own GC
+// shape, so every instance is a monomorphic tight loop.
+//
+// ops.go defines each operator's element-level meaning once (total
+// division and modulo, masked shift counts, min/max, abs, casts). The kernels
+// and the scalar evaluators (ScalarArith, ScalarCmp, ScalarUnary, ScalarCast)
+// that the interpreter uses for scalar registers both call those
+// definitions, so the vector and scalar paths compute the same values.
 package primitive
 
 import (
