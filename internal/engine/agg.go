@@ -247,10 +247,11 @@ func (t *aggTable) global(key groupKey) *aggState {
 	return st
 }
 
-// absorb folds every row of a condensed chunk (no selection vector) into the
-// table. Per-group accumulation order is exactly the chunk's row order, which
-// is what keeps parallel float aggregation byte-identical to serial: a group's
-// arithmetic only depends on the order of its own rows.
+// absorb folds every selected row of a chunk into the table, reading it
+// through its selection vector instead of condensing it first. Selections
+// are sorted, so per-group accumulation order is exactly the chunk's row
+// order, which is what keeps parallel float aggregation byte-identical to
+// serial: a group's arithmetic only depends on the order of its own rows.
 func (t *aggTable) absorb(cc *vector.Chunk) {
 	keyCols := make([]*vector.Vector, len(t.keys))
 	valCols := make([]*vector.Vector, len(t.aggs))
@@ -264,7 +265,12 @@ func (t *aggTable) absorb(cc *vector.Chunk) {
 	}
 	upds := makeUpdaters(t.aggs, valCols)
 	keyAt := makeKeyReader(t.keys, keyCols)
-	for r := 0; r < cc.Len(); r++ {
+	sel := cc.Sel()
+	for i, n := 0, cc.SelectedLen(); i < n; i++ {
+		r := i
+		if sel != nil {
+			r = int(sel[i])
+		}
 		st := t.global(keyAt(r))
 		for _, u := range upds {
 			u(st, r)
@@ -461,16 +467,12 @@ func (h *HashAgg) Next(ctx context.Context) (*vector.Chunk, error) {
 		if chunk == nil {
 			break
 		}
-		cc := chunk
-		if chunk.Sel() != nil {
-			cc = chunk.Condense()
-		}
 		for i, k := range h.keys {
-			keyCols[i] = cc.MustColumn(k)
+			keyCols[i] = chunk.MustColumn(k)
 		}
 		for i, a := range h.aggs {
 			if a.Func != AggCount {
-				valCols[i] = cc.MustColumn(a.Col)
+				valCols[i] = chunk.MustColumn(a.Col)
 			}
 		}
 		// Compile-time-resolved updaters: one monomorphic closure per
@@ -495,7 +497,13 @@ func (h *HashAgg) Next(ctx context.Context) (*vector.Chunk, error) {
 				u(st, r)
 			}
 		}
-		for r := 0; r < cc.Len(); r++ {
+		// Fold through the selection, in row order (selections are sorted).
+		sel := chunk.Sel()
+		for i, n := 0, chunk.SelectedLen(); i < n; i++ {
+			r := i
+			if sel != nil {
+				r = int(sel[i])
+			}
 			key := keyAt(r)
 			if pre != nil {
 				slot := int((uint64(key.i1)*0x9e3779b97f4a7c15 ^ uint64(len(key.s1))<<32 ^ uint64(key.i2) ^ hashStr(key.s1) ^ hashStr(key.s2)) % preAggSlots)

@@ -94,15 +94,16 @@ func (r *PlacementRecorder) Transfer() time.Duration {
 }
 
 // MorselRunner is implemented by pipeline tops that execute one dispatched
-// morsel as a unit. The Exchange and ParallelAgg dispatch loops detect it
-// and hand over the whole morsel drain — the hook through which DeviceExec
+// morsel as a unit. The dispatching operators' shared drain detects it and
+// hands over the whole morsel drain — the hook through which DeviceExec
 // interposes device placement without the dispatchers knowing about
 // devices.
 type MorselRunner interface {
 	Operator
-	// RunMorsel drains the pipeline for the armed morsel [lo, hi) and
-	// returns its chunks in stream order.
-	RunMorsel(ctx context.Context, lo, hi int) ([]*vector.Chunk, error)
+	// RunMorsel drains the pipeline for the armed morsel [lo, hi), passing
+	// each chunk to sink in stream order. A chunk is valid only until sink
+	// returns: the pipeline's next Next may overwrite it (see Operator).
+	RunMorsel(ctx context.Context, lo, hi int, sink func(*vector.Chunk)) error
 }
 
 // DeviceExec wraps one worker's streaming pipeline with per-morsel device
@@ -154,24 +155,13 @@ func (d *DeviceExec) Next(ctx context.Context) (*vector.Chunk, error) { return d
 func (d *DeviceExec) Close() error { return d.child.Close() }
 
 // RunMorsel implements MorselRunner: it drains the child for the morsel the
-// caller armed (the exchange set the scan leaf's range to [lo, hi)) under
-// one placed device, records the decision, and returns the chunks.
-func (d *DeviceExec) RunMorsel(ctx context.Context, lo, hi int) ([]*vector.Chunk, error) {
-	var chunks []*vector.Chunk
+// caller armed (its dispatcher set the scan leaf's range to [lo, hi)) through
+// sink under one placed device, and records the decision. The sink runs
+// inside the placed work, so it folds or copies each chunk while the device
+// holds it and nothing is buffered past the pipeline's next Next.
+func (d *DeviceExec) RunMorsel(ctx context.Context, lo, hi int, sink func(*vector.Chunk)) error {
 	var runErr error
-	work := func() {
-		for {
-			c, err := d.child.Next(ctx)
-			if err != nil {
-				runErr = err
-				return
-			}
-			if c == nil {
-				return
-			}
-			chunks = append(chunks, c)
-		}
-	}
+	work := func() { runErr = drainInto(ctx, d.child, sink) }
 	k := d.spec.Kernel(lo, hi)
 	var dev device.Device
 	var cost device.Cost
@@ -181,11 +171,11 @@ func (d *DeviceExec) RunMorsel(ctx context.Context, lo, hi int) ([]*vector.Chunk
 		dev, cost = d.placer.Execute(k, work)
 	}
 	if runErr != nil {
-		return nil, runErr
+		return runErr
 	}
 	d.lastDev = dev.Name()
 	if d.rec != nil {
 		d.rec.record(dev.Name(), cost)
 	}
-	return chunks, nil
+	return nil
 }

@@ -20,6 +20,20 @@
 // pre-aggregation tables in morsel sequence order, so result bytes depend
 // on the morsel length (which pins how f64 accumulation is blocked) but
 // never on worker count, steal pattern, device placement or chunk length.
+//
+// Chunk-lifetime contract: a chunk returned by Next — its header, vectors
+// and selection vector — stays valid until the next Next or Close on the
+// same operator, and no longer. Producers recycle their buffers: scans over
+// an in-RAM DSM table hand out views of the table's columns (zero copy),
+// scans over other stores decode into per-leaf buffers reused chunk to
+// chunk, and fused loops recycle their computed columns, gathers and
+// selection vectors. Consumers treat received chunks as read-only, since
+// they may alias the stored table, and any consumer that keeps rows past
+// its producer's next Next copies them: Collect and the top-k
+// materializations append into a fresh store, the exchange condenses each
+// chunk into its per-morsel buffer, and the parallel join build condenses
+// its build rows. Aggregations fold a chunk before pulling the next one, so
+// they copy nothing.
 package engine
 
 import (
@@ -45,7 +59,11 @@ type Operator interface {
 	Schema() []ColInfo
 	// Open prepares execution (builds hash tables etc.).
 	Open(ctx context.Context) error
-	// Next returns the next chunk, or nil at end of stream.
+	// Next returns the next chunk, or nil at end of stream. The chunk is
+	// valid until the next Next or Close on the same operator: producers
+	// reuse its storage, so a caller that keeps rows longer must copy them
+	// (Chunk.Condense, DSMStore.AppendChunk). Callers must not write
+	// through it — its vectors may be views of a stored table.
 	Next(ctx context.Context) (*vector.Chunk, error)
 	// Close releases resources.
 	Close() error
@@ -62,24 +80,63 @@ type RangeSkipper interface {
 	SkipRange(lo, hi int) bool
 }
 
-// Scan reads a stored table chunk-at-a-time.
-type Scan struct {
+// Scan reads a stored table chunk-at-a-time: a PartScan whose window is the
+// whole table, re-armed on every Open.
+type Scan struct{ PartScan }
+
+// NewScan creates a scan over the named columns of store.
+func NewScan(store vector.Store, columns ...string) (*Scan, error) {
+	ps, err := NewPartScan(store, columns...)
+	if err != nil {
+		return nil, err
+	}
+	return &Scan{PartScan: *ps}, nil
+}
+
+// SetChunkLen overrides the scan's chunk length (default
+// vector.DefaultChunkLen).
+func (s *Scan) SetChunkLen(n int) *Scan {
+	s.PartScan.SetChunkLen(n)
+	return s
+}
+
+// Open implements Operator: it rewinds the scan to the table's first row.
+func (s *Scan) Open(ctx context.Context) error {
+	s.SetRange(0, s.store.Rows())
+	return ctx.Err()
+}
+
+// PartScan is a table scan restricted to a settable row window [lo, hi).
+// The exchange resets the window once per dispatched morsel, so one PartScan
+// serves a whole worker pipeline for the lifetime of a query.
+//
+// Next follows the chunk-lifetime contract (see Operator) and allocates
+// nothing in the steady state: over an in-RAM *vector.DSMStore the chunk's
+// vectors are views of the table's columns and no row is copied; over any
+// other store (colstore, NSM) rows are decoded into per-leaf buffers reused
+// across calls. The chunk and vector headers are reused too.
+type PartScan struct {
 	store    vector.Store
+	dsm      *vector.DSMStore // non-nil: chunks are views of its columns
 	skipper  RangeSkipper
 	cols     []int
 	schema   []ColInfo
 	chunkLen int
-	pos      int
-	bufs     []*vector.Vector
+	pos, hi  int
+
+	vecs  []*vector.Vector // view headers or decode buffers, one per column
+	chunk vector.Chunk     // the header every Next refills
 }
 
-// NewScan creates a scan over the named columns of store.
-func NewScan(store vector.Store, columns ...string) (*Scan, error) {
+// NewPartScan creates a windowed scan over the named columns of store (all
+// columns when none are given). The window starts empty; SetRange arms it.
+func NewPartScan(store vector.Store, columns ...string) (*PartScan, error) {
 	cols, schema, err := resolveColumns(store, columns)
 	if err != nil {
 		return nil, err
 	}
-	s := &Scan{store: store, chunkLen: vector.DefaultChunkLen, cols: cols, schema: schema}
+	s := &PartScan{store: store, chunkLen: vector.DefaultChunkLen, cols: cols, schema: schema}
+	s.dsm, _ = store.(*vector.DSMStore)
 	s.skipper, _ = store.(RangeSkipper)
 	return s, nil
 }
@@ -105,39 +162,39 @@ func resolveColumns(store vector.Store, columns []string) ([]int, []ColInfo, err
 }
 
 // SetChunkLen overrides the scan's chunk length (default
-// vector.DefaultChunkLen). Effective on the next Open.
-func (s *Scan) SetChunkLen(n int) *Scan {
+// vector.DefaultChunkLen).
+func (s *PartScan) SetChunkLen(n int) *PartScan {
 	if n > 0 {
 		s.chunkLen = n
 	}
 	return s
 }
 
-// Schema implements Operator.
-func (s *Scan) Schema() []ColInfo { return s.schema }
-
-// Open implements Operator.
-func (s *Scan) Open(ctx context.Context) error {
-	s.pos = 0
-	s.bufs = make([]*vector.Vector, len(s.cols))
-	for i, ci := range s.cols {
-		s.bufs[i] = vector.NewLen(s.store.Schema().Kinds[ci], s.chunkLen)
-	}
-	return ctx.Err()
+// SetRange arms the scan to produce rows [lo, hi).
+func (s *PartScan) SetRange(lo, hi int) {
+	s.pos, s.hi = lo, hi
 }
+
+// Schema implements Operator.
+func (s *PartScan) Schema() []ColInfo { return s.schema }
+
+// Open implements Operator. It does not reset the window: ranges are owned
+// by SetRange callers.
+func (s *PartScan) Open(ctx context.Context) error { return ctx.Err() }
 
 // Next implements Operator. As the pipeline's leaf it checks ctx once per
 // chunk, which bounds how far past a cancellation any downstream operator
-// can run.
-func (s *Scan) Next(ctx context.Context) (*vector.Chunk, error) {
+// can run. Windows the store's RangeSkipper proves irrelevant are stepped
+// over in whole chunks, so chunk boundaries match the unskipped scan.
+func (s *PartScan) Next(ctx context.Context) (*vector.Chunk, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if s.skipper != nil {
-		for rows := s.store.Rows(); s.pos < rows; {
+		for s.pos < s.hi {
 			hi := s.pos + s.chunkLen
-			if hi > rows {
-				hi = rows
+			if hi > s.hi {
+				hi = s.hi
 			}
 			if !s.skipper.SkipRange(s.pos, hi) {
 				break
@@ -145,20 +202,42 @@ func (s *Scan) Next(ctx context.Context) (*vector.Chunk, error) {
 			s.pos = hi
 		}
 	}
-	n := s.store.Scan(s.pos, s.chunkLen, s.cols, s.bufs)
-	if n == 0 {
+	n := s.hi - s.pos
+	if n <= 0 {
 		return nil, nil
 	}
-	s.pos += n
-	c := vector.NewChunk()
-	for i, info := range s.schema {
-		c.Add(info.Name, s.bufs[i].Slice(0, n))
+	if n > s.chunkLen {
+		n = s.chunkLen
 	}
-	return c, nil
+	if s.vecs == nil {
+		s.vecs = make([]*vector.Vector, len(s.cols))
+		for i, info := range s.schema {
+			if s.dsm != nil {
+				s.vecs[i] = new(vector.Vector)
+			} else {
+				s.vecs[i] = vector.New(info.Kind, 0, s.chunkLen)
+			}
+		}
+	}
+	var got int
+	if s.dsm != nil {
+		got = s.dsm.View(s.pos, n, s.cols, s.vecs)
+	} else {
+		got = s.store.Scan(s.pos, n, s.cols, s.vecs)
+	}
+	if got == 0 {
+		return nil, nil
+	}
+	s.pos += got
+	s.chunk.Reset()
+	for i, info := range s.schema {
+		s.chunk.Add(info.Name, s.vecs[i])
+	}
+	return &s.chunk, nil
 }
 
 // Close implements Operator.
-func (s *Scan) Close() error { return nil }
+func (s *PartScan) Close() error { return nil }
 
 // Drain pulls every chunk of op through fn.
 func Drain(ctx context.Context, op Operator, fn func(*vector.Chunk) error) error {
@@ -193,11 +272,7 @@ func Collect(ctx context.Context, op Operator) (*vector.DSMStore, error) {
 
 // collectOpen materializes the remaining output of an already-open operator.
 func collectOpen(ctx context.Context, op Operator) (*vector.DSMStore, error) {
-	sch := vector.Schema{}
-	for _, ci := range op.Schema() {
-		sch.Names = append(sch.Names, ci.Name)
-		sch.Kinds = append(sch.Kinds, ci.Kind)
-	}
+	sch := storeSchema(op.Schema())
 	out := vector.NewDSMStore(sch)
 	for {
 		c, err := op.Next(ctx)

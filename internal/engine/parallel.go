@@ -19,95 +19,137 @@ import (
 	"repro/internal/vector"
 )
 
-// PartScan is a table scan restricted to a settable row window [lo, hi).
-// The exchange resets the window once per dispatched morsel, so one PartScan
-// serves a whole worker pipeline for the lifetime of a query. Unlike Scan it
-// allocates fresh column buffers for every chunk: its chunks cross goroutine
-// boundaries and must not be overwritten while a consumer still reads them.
-type PartScan struct {
-	store    vector.Store
-	skipper  RangeSkipper
-	cols     []int
-	schema   []ColInfo
-	chunkLen int
-	pos, hi  int
+// fanout is the worker half shared by the dispatching operators (Exchange,
+// ParallelAgg, ParallelTopK and the parallel join build): one windowed scan
+// leaf and one private pipeline per worker, driven morsel by morsel under
+// work-stealing dispatch.
+type fanout struct {
+	traceHook
+	store     vector.Store
+	morselLen int
+	leaves    []*PartScan
+	pipes     []Operator
 }
 
-// NewPartScan creates a windowed scan over the named columns of store (all
-// columns when none are given). The window starts empty; SetRange arms it.
-func NewPartScan(store vector.Store, columns ...string) (*PartScan, error) {
-	cols, schema, err := resolveColumns(store, columns)
-	if err != nil {
-		return nil, err
+// newFanout instantiates workers private pipelines, mk building each one
+// over its worker's scan leaf. Each worker gets private operator instances —
+// and thus private expression VMs — so no cross-worker synchronization
+// happens on the hot path.
+func newFanout(store vector.Store, columns []string, workers int,
+	mk func(worker int, leaf Operator) (Operator, error)) (fanout, error) {
+	f := fanout{store: store, morselLen: morsel.DefaultMorselLen}
+	for w := 0; w < workers; w++ {
+		leaf, err := NewPartScan(store, columns...)
+		if err != nil {
+			return f, err
+		}
+		pipe, err := mk(w, leaf)
+		if err != nil {
+			return f, err
+		}
+		f.leaves = append(f.leaves, leaf)
+		f.pipes = append(f.pipes, pipe)
 	}
-	s := &PartScan{store: store, chunkLen: vector.DefaultChunkLen, cols: cols, schema: schema}
-	s.skipper, _ = store.(RangeSkipper)
-	return s, nil
+	return f, nil
 }
 
-// SetChunkLen overrides the scan's chunk length (default
-// vector.DefaultChunkLen).
-func (s *PartScan) SetChunkLen(n int) *PartScan {
+// Workers returns the configured worker count.
+func (f *fanout) Workers() int { return len(f.pipes) }
+
+func (f *fanout) setChunkLen(n int) {
+	for _, leaf := range f.leaves {
+		leaf.SetChunkLen(n)
+	}
+}
+
+func (f *fanout) setMorselLen(n int) {
 	if n > 0 {
-		s.chunkLen = n
+		f.morselLen = n
 	}
-	return s
 }
 
-// SetRange arms the scan to produce rows [lo, hi).
-func (s *PartScan) SetRange(lo, hi int) {
-	s.pos, s.hi = lo, hi
-}
-
-// Schema implements Operator.
-func (s *PartScan) Schema() []ColInfo { return s.schema }
-
-// Open implements Operator. It does not reset the window: ranges are owned
-// by SetRange callers.
-func (s *PartScan) Open(ctx context.Context) error { return ctx.Err() }
-
-// Next implements Operator.
-func (s *PartScan) Next(ctx context.Context) (*vector.Chunk, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.skipper != nil {
-		for s.pos < s.hi {
-			hi := s.pos + s.chunkLen
-			if hi > s.hi {
-				hi = s.hi
-			}
-			if !s.skipper.SkipRange(s.pos, hi) {
-				break
-			}
-			s.pos = hi
+// open disarms every scan leaf and opens every worker pipeline.
+func (f *fanout) open(ctx context.Context) error {
+	for w, pipe := range f.pipes {
+		f.leaves[w].SetRange(0, 0)
+		if err := pipe.Open(ctx); err != nil {
+			return err
 		}
 	}
-	n := s.hi - s.pos
-	if n <= 0 {
-		return nil, nil
-	}
-	if n > s.chunkLen {
-		n = s.chunkLen
-	}
-	bufs := make([]*vector.Vector, len(s.cols))
-	for i, ci := range s.cols {
-		bufs[i] = vector.NewLen(s.store.Schema().Kinds[ci], n)
-	}
-	got := s.store.Scan(s.pos, n, s.cols, bufs)
-	if got == 0 {
-		return nil, nil
-	}
-	s.pos += got
-	c := vector.NewChunk()
-	for i, info := range s.schema {
-		c.Add(info.Name, bufs[i])
-	}
-	return c, nil
+	return nil
 }
 
-// Close implements Operator.
-func (s *PartScan) Close() error { return nil }
+func (f *fanout) closePipes() {
+	for _, pipe := range f.pipes {
+		pipe.Close()
+	}
+}
+
+// run dispatches every morsel of the table to the worker pipelines and calls
+// body once per morsel, on the worker that claimed it, with the morsel's
+// dense sequence number and a drain that streams the armed morsel's chunks
+// into a sink. A sink sees each chunk only until the pipeline's next Next
+// (see Operator), so it folds or copies the chunk before returning. The
+// first failed morsel's error is returned; morsels not yet started when a
+// morsel fails are skipped.
+func (f *fanout) run(ctx context.Context,
+	body func(worker, seq int, drain func(sink func(*vector.Chunk)) error) error) (morsel.Stats, error) {
+	rows, workers := f.store.Rows(), len(f.pipes)
+	var mu sync.Mutex
+	var runErr error
+	var failed atomic.Bool
+	st := morsel.RunInstrumented(rows, morsel.Options{Workers: workers, MorselLen: f.morselLen},
+		func(worker, lo, hi int) {
+			if failed.Load() {
+				return
+			}
+			msp := f.startMorsel()
+			pipe := f.pipes[worker]
+			f.leaves[worker].SetRange(lo, hi)
+			var out int64
+			drain := func(sink func(*vector.Chunk)) error {
+				return drainMorsel(ctx, pipe, lo, hi, func(c *vector.Chunk) {
+					out += int64(c.SelectedLen())
+					sink(c)
+				})
+			}
+			if err := body(worker, lo/f.morselLen, drain); err != nil {
+				msp.End()
+				mu.Lock()
+				if runErr == nil {
+					runErr = err
+				}
+				mu.Unlock()
+				failed.Store(true)
+				return
+			}
+			finishMorsel(msp, pipe, worker, lo, hi, f.morselLen, rows, workers, out)
+		})
+	attachMorselStats(f.tsp, st)
+	return st, runErr
+}
+
+// drainMorsel streams every chunk the armed morsel [lo, hi) produces from a
+// worker pipeline into sink. A MorselRunner top (DeviceExec) executes the
+// drain as one placed unit; anything else is drained inline on the calling
+// worker.
+func drainMorsel(ctx context.Context, pipe Operator, lo, hi int, sink func(*vector.Chunk)) error {
+	if mr, ok := pipe.(MorselRunner); ok {
+		return mr.RunMorsel(ctx, lo, hi, sink)
+	}
+	return drainInto(ctx, pipe, sink)
+}
+
+// drainInto pulls every remaining chunk of an open operator through sink.
+func drainInto(ctx context.Context, op Operator, sink func(*vector.Chunk)) error {
+	for {
+		c, err := op.Next(ctx)
+		if err != nil || c == nil {
+			return err
+		}
+		sink(c)
+	}
+}
 
 // exMorsel is one morsel's worth of finished chunks, tagged with the
 // morsel's dense sequence number for order-preserving re-emission.
@@ -134,14 +176,8 @@ const exBatchMorsels = 4
 // slower workers' ranges — and hand off finished morsels to the merge in
 // batches; only the emission is sequenced.
 type Exchange struct {
-	traceHook
-	store     vector.Store
-	workers   int
-	morselLen int
-
+	fanout
 	schema []ColInfo
-	leaves []*PartScan
-	pipes  []Operator
 
 	out      chan []exMorsel
 	quit     chan struct{}
@@ -162,50 +198,31 @@ type Exchange struct {
 // NewExchange builds an exchange over store with workers parallel pipelines.
 // build is called once per worker with that worker's scan leaf and must
 // return the pipeline to run on top of it (the leaf itself for a bare
-// parallel scan). Each worker gets private operator instances — and thus
-// private expression VMs — so no cross-worker synchronization happens on the
-// hot path.
+// parallel scan).
 func NewExchange(store vector.Store, columns []string, workers int,
 	build func(worker int, leaf Operator) (Operator, error)) (*Exchange, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("engine: exchange needs ≥ 1 worker, got %d", workers)
 	}
-	e := &Exchange{store: store, workers: workers, morselLen: morsel.DefaultMorselLen}
-	for w := 0; w < workers; w++ {
-		leaf, err := NewPartScan(store, columns...)
-		if err != nil {
-			return nil, err
-		}
-		pipe, err := build(w, leaf)
-		if err != nil {
-			return nil, err
-		}
-		e.leaves = append(e.leaves, leaf)
-		e.pipes = append(e.pipes, pipe)
+	f, err := newFanout(store, columns, workers, build)
+	if err != nil {
+		return nil, err
 	}
-	e.schema = e.pipes[0].Schema()
-	return e, nil
+	return &Exchange{fanout: f, schema: f.pipes[0].Schema()}, nil
 }
 
 // SetChunkLen overrides the chunk length of every worker's scan leaf.
 func (e *Exchange) SetChunkLen(n int) *Exchange {
-	for _, leaf := range e.leaves {
-		leaf.SetChunkLen(n)
-	}
+	e.setChunkLen(n)
 	return e
 }
 
 // SetMorselLen overrides the dispatch granularity (default
 // morsel.DefaultMorselLen).
 func (e *Exchange) SetMorselLen(n int) *Exchange {
-	if n > 0 {
-		e.morselLen = n
-	}
+	e.setMorselLen(n)
 	return e
 }
-
-// Workers returns the configured worker count.
-func (e *Exchange) Workers() int { return e.workers }
 
 // Schema implements Operator.
 func (e *Exchange) Schema() []ColInfo { return e.schema }
@@ -216,18 +233,14 @@ func (e *Exchange) Open(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for w, pipe := range e.pipes {
-		e.leaves[w].SetRange(0, 0)
-		if err := pipe.Open(ctx); err != nil {
-			return err
-		}
+	if err := e.open(ctx); err != nil {
+		return err
 	}
-	rows := e.store.Rows()
 	e.nextSeq = 0
 	e.pending = make(map[int][]*vector.Chunk)
 	e.queue = nil
 	e.runErr = nil
-	e.out = make(chan []exMorsel, e.workers)
+	e.out = make(chan []exMorsel, e.Workers())
 	e.quit = make(chan struct{})
 	e.quitOnce = new(sync.Once)
 	e.done = make(chan struct{})
@@ -236,48 +249,45 @@ func (e *Exchange) Open(ctx context.Context) error {
 	// abort them mid-morsel instead of waiting for their current drains.
 	wctx, cancel := context.WithCancel(ctx)
 	e.cancel = cancel
-	go e.produce(wctx, rows)
+	go e.produce(wctx)
 	return nil
 }
 
-// produce drives morsel.Run over the worker pipelines and feeds the ordered
-// merge. It owns the out channel: closing it signals end of production.
-func (e *Exchange) produce(ctx context.Context, rows int) {
+// produce drives the morsel dispatch over the worker pipelines and feeds
+// the ordered merge. It owns the out channel: closing it signals end of
+// production.
+func (e *Exchange) produce(ctx context.Context) {
 	defer close(e.done)
 	defer e.cancel() // release the private context once production ends
 	// Per-worker handoff buffers: each worker batches up to exBatchMorsels
 	// finished morsels per channel send. A buffer is owned by its worker
 	// goroutine for the whole run, then flushed below after the run's
 	// WaitGroup establishes happens-before.
-	batches := make([][]exMorsel, e.workers)
+	batches := make([][]exMorsel, e.Workers())
 	send := func(batch []exMorsel) {
 		select {
 		case e.out <- batch:
 		case <-e.quit:
 		}
 	}
-	st := morsel.RunInstrumented(rows, morsel.Options{Workers: e.workers, MorselLen: e.morselLen},
-		func(worker, lo, hi int) {
-			select {
-			case <-e.quit:
-				return // drain the remaining dispatch cheaply after a failure
-			default:
-			}
-			msp := e.startMorsel()
-			e.leaves[worker].SetRange(lo, hi)
-			chunks, err := drainMorsel(ctx, e.pipes[worker], lo, hi)
-			if err != nil {
-				msp.End()
-				e.fail(err)
-				return
-			}
-			finishMorsel(msp, e.pipes[worker], worker, lo, hi, e.morselLen, rows, e.workers, chunkRows(chunks))
-			batches[worker] = append(batches[worker], exMorsel{seq: lo / e.morselLen, chunks: chunks})
-			if len(batches[worker]) >= exBatchMorsels {
-				send(batches[worker])
-				batches[worker] = nil
-			}
-		})
+	st, err := e.run(ctx, func(worker, seq int, drain func(func(*vector.Chunk)) error) error {
+		// The merge emits a morsel's chunks long after the worker pipeline
+		// has moved on, so each chunk is condensed into exchange-owned
+		// storage as it arrives.
+		var chunks []*vector.Chunk
+		if err := drain(func(c *vector.Chunk) { chunks = append(chunks, c.Condense()) }); err != nil {
+			return err
+		}
+		batches[worker] = append(batches[worker], exMorsel{seq: seq, chunks: chunks})
+		if len(batches[worker]) >= exBatchMorsels {
+			send(batches[worker])
+			batches[worker] = nil
+		}
+		return nil
+	})
+	if err != nil {
+		e.fail(err)
+	}
 	for _, batch := range batches {
 		if len(batch) > 0 {
 			send(batch)
@@ -286,28 +296,7 @@ func (e *Exchange) produce(ctx context.Context, rows int) {
 	e.mu.Lock()
 	e.stats = st
 	e.mu.Unlock()
-	attachMorselStats(e.tsp, st)
 	close(e.out)
-}
-
-// drainMorsel pulls every chunk the armed morsel [lo, hi) produces from a
-// worker pipeline. A MorselRunner top (DeviceExec) executes the drain as one
-// placed unit; anything else is drained inline on the calling worker.
-func drainMorsel(ctx context.Context, pipe Operator, lo, hi int) ([]*vector.Chunk, error) {
-	if mr, ok := pipe.(MorselRunner); ok {
-		return mr.RunMorsel(ctx, lo, hi)
-	}
-	var chunks []*vector.Chunk
-	for {
-		c, err := pipe.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if c == nil {
-			return chunks, nil
-		}
-		chunks = append(chunks, c)
-	}
 }
 
 // fail records the first worker error and unblocks everyone.
@@ -374,9 +363,7 @@ func (e *Exchange) Close() error {
 		}
 		<-e.done
 	}
-	for _, pipe := range e.pipes {
-		pipe.Close()
-	}
+	e.closePipes()
 	return nil
 }
 
@@ -458,86 +445,37 @@ func BuildJoinTableParallelTraced(ctx context.Context, store vector.Store, colum
 	if nm := (store.Rows() + morselLen - 1) / morselLen; nm > 0 && workers > nm {
 		workers = nm
 	}
-	leaves := make([]*PartScan, workers)
-	pipes := make([]Operator, workers)
-	for w := 0; w < workers; w++ {
-		leaf, err := NewPartScan(store, columns...)
-		if err != nil {
-			return nil, err
-		}
-		if chunkLen > 0 {
-			leaf.SetChunkLen(chunkLen)
-		}
-		pipe, err := mk(w, leaf)
-		if err != nil {
-			return nil, err
-		}
-		leaves[w] = leaf
-		pipes[w] = pipe
+	f, err := newFanout(store, columns, workers, mk)
+	if err != nil {
+		return nil, err
 	}
-	defer func() {
-		for _, p := range pipes {
-			p.Close()
-		}
-	}()
-	for w, pipe := range pipes {
-		leaves[w].SetRange(0, 0)
-		if err := pipe.Open(ctx); err != nil {
-			return nil, err
-		}
+	if chunkLen > 0 {
+		f.setChunkLen(chunkLen)
+	}
+	f.setMorselLen(morselLen)
+	f.SetTrace(tsp, traceMorsels)
+	defer f.closePipes()
+	if err := f.open(ctx); err != nil {
+		return nil, err
 	}
 
-	hook := traceHook{tsp: tsp, tmorsels: traceMorsels}
-	rows := store.Rows()
-	numMorsels := (rows + morselLen - 1) / morselLen
-	results := make([][]*vector.Chunk, numMorsels)
-	var mu sync.Mutex
-	var runErr error
-	var failed atomic.Bool
-	st := morsel.RunInstrumented(rows, morsel.Options{Workers: workers, MorselLen: morselLen},
-		func(worker, lo, hi int) {
-			if failed.Load() {
-				return
-			}
-			msp := hook.startMorsel()
-			leaves[worker].SetRange(lo, hi)
-			var chunks []*vector.Chunk
-			for {
-				c, err := pipes[worker].Next(ctx)
-				if err != nil {
-					mu.Lock()
-					if runErr == nil {
-						runErr = err
-					}
-					mu.Unlock()
-					failed.Store(true)
-					msp.End()
-					return
-				}
-				if c == nil {
-					break
-				}
-				cc := c
-				if c.Sel() != nil {
-					cc = c.Condense()
-				}
-				chunks = append(chunks, cc)
-			}
-			// Distinct morsels write distinct slice elements: no lock needed.
-			results[lo/morselLen] = chunks
-			finishMorsel(msp, pipes[worker], worker, lo, hi, morselLen, rows, workers, chunkRows(chunks))
-		})
-	attachMorselStats(tsp, st)
-	if runErr != nil {
-		return nil, runErr
+	// Build rows outlive the worker pipelines' next Next, so each chunk is
+	// condensed into build-owned storage; distinct morsels write distinct
+	// slots, so no lock is needed.
+	results := make([][]*vector.Chunk, (store.Rows()+morselLen-1)/morselLen)
+	if _, err := f.run(ctx, func(_, seq int, drain func(func(*vector.Chunk)) error) error {
+		var chunks []*vector.Chunk
+		if err := drain(func(c *vector.Chunk) { chunks = append(chunks, c.Condense()) }); err != nil {
+			return err
+		}
+		results[seq] = chunks
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// Stitch the morsel outputs back in table order.
-	sch := vector.Schema{}
-	for _, ci := range pipes[0].Schema() {
-		sch.Names = append(sch.Names, ci.Name)
-		sch.Kinds = append(sch.Kinds, ci.Kind)
-	}
+	sch := storeSchema(f.pipes[0].Schema())
 	out := vector.NewDSMStore(sch)
 	for _, chunks := range results {
 		for _, c := range chunks {
@@ -728,15 +666,9 @@ func (p *TableProbe) Close() error { return p.child.Close() }
 // low-order float bits. A table no longer than one morsel degenerates to
 // the strict row-order fold.
 type ParallelAgg struct {
-	traceHook
-	store     vector.Store
-	workers   int
-	morselLen int
-	keys      []string
-	aggs      []Aggregate
-
-	leaves []*PartScan
-	pipes  []Operator
+	fanout
+	keys   []string
+	aggs   []Aggregate
 	schema []ColInfo
 
 	out     *vector.Chunk
@@ -753,19 +685,11 @@ func NewParallelAgg(store vector.Store, columns []string, workers int,
 	if workers < 1 {
 		return nil, fmt.Errorf("engine: parallel aggregation needs ≥ 1 worker, got %d", workers)
 	}
-	a := &ParallelAgg{store: store, workers: workers, morselLen: morsel.DefaultMorselLen, keys: keys, aggs: aggs}
-	for w := 0; w < workers; w++ {
-		leaf, err := NewPartScan(store, columns...)
-		if err != nil {
-			return nil, err
-		}
-		pipe, err := mk(w, leaf)
-		if err != nil {
-			return nil, err
-		}
-		a.leaves = append(a.leaves, leaf)
-		a.pipes = append(a.pipes, pipe)
+	f, err := newFanout(store, columns, workers, mk)
+	if err != nil {
+		return nil, err
 	}
+	a := &ParallelAgg{fanout: f, keys: keys, aggs: aggs}
 	sch, err := AggOutputSchema(a.pipes[0].Schema(), keys, aggs)
 	if err != nil {
 		return nil, err
@@ -776,22 +700,15 @@ func NewParallelAgg(store vector.Store, columns []string, workers int,
 
 // SetChunkLen overrides the chunk length of every worker's scan leaf.
 func (a *ParallelAgg) SetChunkLen(n int) *ParallelAgg {
-	for _, leaf := range a.leaves {
-		leaf.SetChunkLen(n)
-	}
+	a.setChunkLen(n)
 	return a
 }
 
 // SetMorselLen overrides the dispatch granularity.
 func (a *ParallelAgg) SetMorselLen(n int) *ParallelAgg {
-	if n > 0 {
-		a.morselLen = n
-	}
+	a.setMorselLen(n)
 	return a
 }
-
-// Workers returns the configured worker count.
-func (a *ParallelAgg) Workers() int { return a.workers }
 
 // Schema implements Operator.
 func (a *ParallelAgg) Schema() []ColInfo { return a.schema }
@@ -801,11 +718,8 @@ func (a *ParallelAgg) Open(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for w, pipe := range a.pipes {
-		a.leaves[w].SetRange(0, 0)
-		if err := pipe.Open(ctx); err != nil {
-			return err
-		}
+	if err := a.open(ctx); err != nil {
+		return err
 	}
 	a.emitted = false
 	a.out = nil
@@ -823,80 +737,25 @@ func (a *ParallelAgg) Next(ctx context.Context) (*vector.Chunk, error) {
 	}
 	a.emitted = true
 
-	var mu sync.Mutex
-	var runErr error
-	var failed atomic.Bool
-	fail := func(err error) {
-		mu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		mu.Unlock()
-		failed.Store(true)
-	}
-
-	rows := a.store.Rows()
-	numMorsels := (rows + a.morselLen - 1) / a.morselLen
 	// One pre-aggregation table per morsel, slotted by sequence number. A
 	// morsel's slot is written by exactly one worker (the dispatcher claims
 	// each morsel exactly once) and read only after the run completes, so the
-	// slice needs no locking.
-	tables := make([]*aggTable, numMorsels)
+	// slice needs no locking. Each chunk is folded — in row order, through
+	// its selection — before the pipeline produces the next one, so nothing
+	// is copied.
+	tables := make([]*aggTable, (a.store.Rows()+a.morselLen-1)/a.morselLen)
 	hint := a.tableHint()
-	a.stats = morsel.RunInstrumented(rows,
-		morsel.Options{Workers: a.workers, MorselLen: a.morselLen},
-		func(worker, lo, hi int) {
-			if failed.Load() {
-				return
-			}
-			msp := a.startMorsel()
-			a.leaves[worker].SetRange(lo, hi)
-			tbl := newAggTableSized(a.keys, a.aggs, hint)
-			var absorbed int64
-			absorb := func(c *vector.Chunk) {
-				cc := c
-				if c.Sel() != nil {
-					cc = c.Condense()
-				}
-				if cc.Len() > 0 {
-					tbl.absorb(cc)
-					absorbed += int64(cc.Len())
-				}
-			}
-			if mr, ok := a.pipes[worker].(MorselRunner); ok {
-				// Device-placed pipeline: the whole morsel drain executes as
-				// one placed unit, then folds.
-				chunks, err := mr.RunMorsel(ctx, lo, hi)
-				if err != nil {
-					msp.End()
-					fail(err)
-					return
-				}
-				for _, c := range chunks {
-					absorb(c)
-				}
-			} else {
-				// Plain pipeline: fold chunk-by-chunk while draining, so a
-				// morsel's output (join fan-out included) never buffers.
-				for {
-					c, err := a.pipes[worker].Next(ctx)
-					if err != nil {
-						msp.End()
-						fail(err)
-						return
-					}
-					if c == nil {
-						break
-					}
-					absorb(c)
-				}
-			}
-			tables[lo/a.morselLen] = tbl
-			finishMorsel(msp, a.pipes[worker], worker, lo, hi, a.morselLen, rows, a.workers, absorbed)
-		})
-	attachMorselStats(a.tsp, a.stats)
-	if runErr != nil {
-		return nil, runErr
+	var err error
+	a.stats, err = a.run(ctx, func(_, seq int, drain func(func(*vector.Chunk)) error) error {
+		tbl := newAggTableSized(a.keys, a.aggs, hint)
+		if err := drain(tbl.absorb); err != nil {
+			return err
+		}
+		tables[seq] = tbl
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -905,7 +764,7 @@ func (a *ParallelAgg) Next(ctx context.Context) (*vector.Chunk, error) {
 	// Merge the per-morsel tables in a sequence-ordered pairwise tree — each
 	// merge's right operand holds strictly later rows than its left — and
 	// emit in key order.
-	final := mergeAggTables(tables, a.workers, a.keys, a.aggs)
+	final := mergeAggTables(tables, a.Workers(), a.keys, a.aggs)
 	a.out = emitAggChunk(a.schema, a.keys, a.aggs, final)
 	final.release()
 	return a.out, nil
@@ -997,9 +856,7 @@ func mergeAggTables(tables []*aggTable, workers int, keys []string, aggs []Aggre
 
 // Close implements Operator.
 func (a *ParallelAgg) Close() error {
-	for _, pipe := range a.pipes {
-		pipe.Close()
-	}
+	a.closePipes()
 	return nil
 }
 

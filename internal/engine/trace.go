@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/morsel"
 	"repro/internal/qtrace"
-	"repro/internal/vector"
 )
 
 // traceHook is the embeddable trace state of a dispatching operator.
@@ -82,13 +81,4 @@ func attachMorselStats(sp *qtrace.Span, st morsel.Stats) {
 		}
 		sp.SetAttr("morsels_per_worker", b.String())
 	}
-}
-
-// chunkRows sums the selected rows across a morsel's output chunks.
-func chunkRows(chunks []*vector.Chunk) int64 {
-	var n int64
-	for _, c := range chunks {
-		n += int64(c.SelectedLen())
-	}
-	return n
 }

@@ -33,7 +33,7 @@ const (
 	// the expression VM).
 	opFilterModEqI64
 
-	// Computes append a fresh output vector.
+	// Computes write an output vector the Exec recycles across chunks.
 	opAffineI64      // out = a*ci + cj
 	opModMulI64      // out = (a%ci) * cj
 	opMulAddI64      // out = a + b*ci

@@ -9,10 +9,11 @@ import (
 // tripped — in which case nothing was emitted and the caller reverts the
 // Exec to the interpreter, replaying this same chunk.
 //
-// The emitted chunk follows the interpreted aliasing contract: untouched
-// scan columns are shared with the input (exactly like the interpreter's
-// shallow chunks), computed columns and selection vectors are fresh, and
-// probe output is fully condensed fresh storage.
+// The emitted chunk follows the chunk-lifetime contract of
+// engine.Operator: untouched scan columns are shared with the input
+// (exactly like the interpreter's shallow chunks), while computed columns,
+// probe gathers, the selection vector and the chunk header live in
+// Exec-owned buffers that the next chunk overwrites.
 func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 	n := in.Len()
 	if n == 0 {
@@ -159,7 +160,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 
 		case opAffineI64:
 			src := e.slots[o.a].I64()
-			out := vector.New(vector.I64, curLen, curLen)
+			out := e.buf(oi, 0, vector.I64, curLen, n)
 			dst := out.I64()
 			c, d := o.ci, o.cj
 			for _, r := range idx {
@@ -168,7 +169,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 		case opModMulI64:
 			src := e.slots[o.a].I64()
-			out := vector.New(vector.I64, curLen, curLen)
+			out := e.buf(oi, 0, vector.I64, curLen, n)
 			dst := out.I64()
 			m, c := o.ci, o.cj
 			for _, r := range idx {
@@ -177,7 +178,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 		case opMulAddI64:
 			sa, sb := e.slots[o.a].I64(), e.slots[o.b].I64()
-			out := vector.New(vector.I64, curLen, curLen)
+			out := e.buf(oi, 0, vector.I64, curLen, n)
 			dst := out.I64()
 			c := o.ci
 			for _, r := range idx {
@@ -186,7 +187,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 		case opSquareI64:
 			src := e.slots[o.a].I64()
-			out := vector.New(vector.I64, curLen, curLen)
+			out := e.buf(oi, 0, vector.I64, curLen, n)
 			dst := out.I64()
 			for _, r := range idx {
 				dst[r] = src[r] * src[r]
@@ -194,7 +195,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 		case opAffineF64:
 			src := e.slots[o.a].F64()
-			out := vector.New(vector.F64, curLen, curLen)
+			out := e.buf(oi, 0, vector.F64, curLen, n)
 			dst := out.F64()
 			c, d := o.cf, o.cg
 			for _, r := range idx {
@@ -203,7 +204,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 		case opSquareF64:
 			src := e.slots[o.a].F64()
-			out := vector.New(vector.F64, curLen, curLen)
+			out := e.buf(oi, 0, vector.F64, curLen, n)
 			dst := out.F64()
 			for _, r := range idx {
 				dst[r] = src[r] * src[r]
@@ -211,7 +212,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 		case opMulF64:
 			sa, sb := e.slots[o.a].F64(), e.slots[o.b].F64()
-			out := vector.New(vector.F64, curLen, curLen)
+			out := e.buf(oi, 0, vector.F64, curLen, n)
 			dst := out.F64()
 			for _, r := range idx {
 				dst[r] = sa[r] * sb[r]
@@ -219,7 +220,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 		case opMulConstSubF64:
 			sa, sb := e.slots[o.a].F64(), e.slots[o.b].F64()
-			out := vector.New(vector.F64, curLen, curLen)
+			out := e.buf(oi, 0, vector.F64, curLen, n)
 			dst := out.F64()
 			c := o.cf
 			for _, r := range idx {
@@ -228,7 +229,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 		case opMulConstAddF64:
 			sa, sb := e.slots[o.a].F64(), e.slots[o.b].F64()
-			out := vector.New(vector.F64, curLen, curLen)
+			out := e.buf(oi, 0, vector.F64, curLen, n)
 			dst := out.F64()
 			c := o.cf
 			for _, r := range idx {
@@ -237,7 +238,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 			e.slots = append(e.slots, out)
 
 		case opProbe:
-			matched, ok := e.runProbe(o, n)
+			matched, ok := e.runProbe(oi, o, n)
 			if !ok {
 				return nil, false // capacity guard: fan-out beyond the bound
 			}
@@ -260,16 +261,33 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 		return nil, true
 	}
 
-	out := vector.NewChunk()
+	e.out.Reset()
 	for i, v := range e.slots {
-		out.Add(e.prog.slots[i].Name, v)
+		e.out.Add(e.prog.slots[i].Name, v)
 	}
 	if outRows < curLen {
-		sel := make(vector.Sel, outRows)
-		copy(sel, e.idx)
-		out.SetSel(sel)
+		e.out.SetSel(e.idx)
 	}
-	return out, true
+	return &e.out, true
+}
+
+// buf returns output vector j of op oi resized to rows, recycled across
+// chunks. A buffer is allocated on first use with room for the larger of
+// rows and the input chunk length n, so steady-state chunks never grow it.
+func (e *Exec) buf(oi, j int, kind vector.Kind, rows, n int) *vector.Vector {
+	if e.bufs == nil {
+		e.bufs = make([][]*vector.Vector, len(e.prog.ops))
+	}
+	for len(e.bufs[oi]) <= j {
+		e.bufs[oi] = append(e.bufs[oi], nil)
+	}
+	v := e.bufs[oi][j]
+	if v == nil {
+		v = vector.New(kind, rows, max(rows, n))
+		e.bufs[oi][j] = v
+	}
+	v.SetLen(rows)
+	return v
 }
 
 // runProbe matches the selected rows' keys against a join table and
@@ -278,7 +296,7 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 // probe-major, match lists in build order, exactly the serial nested-emit
 // order of the interpreted probe. Afterwards the selection is the identity
 // over the matches. ok=false when the fan-out exceeds the capacity guard.
-func (e *Exec) runProbe(o *op, n int) (matched int, ok bool) {
+func (e *Exec) runProbe(oi int, o *op, n int) (matched int, ok bool) {
 	t := e.resolved[o.table]
 	keys := e.slots[o.a].I64()
 	limit := probeFanoutCap * n
@@ -297,12 +315,14 @@ func (e *Exec) runProbe(o *op, n int) (matched int, ok bool) {
 		}
 	}
 	matched = len(e.probeIdx)
+	width := len(e.slots)
 	for i, v := range e.slots {
-		e.slots[i] = vector.Condense(v, vector.Sel(e.probeIdx))
+		e.slots[i] = vector.CondenseInto(e.buf(oi, i, v.Kind(), matched, n), v, vector.Sel(e.probeIdx))
 	}
 	rows := t.Rows()
-	for _, pi := range o.payIdx {
-		e.slots = append(e.slots, vector.Condense(rows.Col(pi), vector.Sel(e.buildIdx)))
+	for j, pi := range o.payIdx {
+		col := rows.Col(pi)
+		e.slots = append(e.slots, vector.CondenseInto(e.buf(oi, width+j, col.Kind(), matched, n), col, vector.Sel(e.buildIdx)))
 	}
 	e.idx = e.idx[:0]
 	for i := 0; i < matched; i++ {

@@ -51,6 +51,14 @@ func (c *Chunk) Add(name string, v *Vector) {
 	c.cols = append(c.cols, v)
 }
 
+// Reset empties the chunk — no columns, no rows, no selection — keeping its
+// storage, so an operator can refill one chunk header on every Next.
+func (c *Chunk) Reset() {
+	clear(c.cols)
+	c.names, c.cols = c.names[:0], c.cols[:0]
+	c.n, c.sel = 0, nil
+}
+
 // Len returns the physical row count (before selection).
 func (c *Chunk) Len() int { return c.n }
 

@@ -139,48 +139,49 @@ func MaskFromSel(s Sel, n int) []bool {
 // Condense materializes the selection: it returns a new vector containing
 // only the selected elements of v, in order. With a nil selection it clones.
 func Condense(v *Vector, s Sel) *Vector {
+	n := s.Count(v.Len())
+	return CondenseInto(New(v.Kind(), n, n), v, s)
+}
+
+// CondenseInto is Condense into a caller-owned buffer: dst (same kind as
+// v) is resized to the selected row count — reallocating only when its
+// capacity is short — filled with the selected elements of v in order, and
+// returned. dst must not share storage with v. Pipelines that gather once
+// per chunk recycle one dst across chunks instead of allocating per call.
+func CondenseInto(dst, v *Vector, s Sel) *Vector {
+	if dst.kind != v.kind {
+		panic(fmt.Sprintf("vector.CondenseInto: kind mismatch %v vs %v", dst.kind, v.kind))
+	}
 	if s == nil {
-		return v.Clone()
+		dst.SetLen(v.n)
+		dst.CopyFrom(0, v, 0, v.n)
+		return dst
 	}
-	out := New(v.Kind(), len(s), len(s))
-	switch v.Kind() {
+	dst.SetLen(len(s))
+	switch v.kind {
 	case Bool:
-		src, dst := v.Bool(), out.Bool()
-		for i, x := range s {
-			dst[i] = src[x]
-		}
+		gather(dst.b, v.b, s)
 	case I8:
-		src, dst := v.I8(), out.I8()
-		for i, x := range s {
-			dst[i] = src[x]
-		}
+		gather(dst.i8, v.i8, s)
 	case I16:
-		src, dst := v.I16(), out.I16()
-		for i, x := range s {
-			dst[i] = src[x]
-		}
+		gather(dst.i16, v.i16, s)
 	case I32:
-		src, dst := v.I32(), out.I32()
-		for i, x := range s {
-			dst[i] = src[x]
-		}
+		gather(dst.i32, v.i32, s)
 	case I64:
-		src, dst := v.I64(), out.I64()
-		for i, x := range s {
-			dst[i] = src[x]
-		}
+		gather(dst.i64, v.i64, s)
 	case F64:
-		src, dst := v.F64(), out.F64()
-		for i, x := range s {
-			dst[i] = src[x]
-		}
+		gather(dst.f64, v.f64, s)
 	case Str:
-		src, dst := v.Str(), out.Str()
-		for i, x := range s {
-			dst[i] = src[x]
-		}
+		gather(dst.str, v.str, s)
 	}
-	return out
+	return dst
+}
+
+// gather writes src[s[i]] to dst[i] for every i.
+func gather[T any](dst, src []T, s Sel) {
+	for i, x := range s {
+		dst[i] = src[x]
+	}
 }
 
 func min(a, b int) int {

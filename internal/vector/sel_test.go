@@ -121,6 +121,36 @@ func TestCondenseVector(t *testing.T) {
 	}
 }
 
+// TestCondenseInto: the selected rows land in the caller's buffer, which is
+// resized (and grown only when short), and Condense agrees with it.
+func TestCondenseInto(t *testing.T) {
+	v := FromI64([]int64{10, 11, 12, 13, 14})
+	dst := New(I64, 0, 8)
+	buf := dst.I64()[:8]
+	if got := CondenseInto(dst, v, Sel{0, 2, 4}); got != dst || !dst.Equal(FromI64([]int64{10, 12, 14})) {
+		t.Fatalf("CondenseInto = %v", got)
+	}
+	if &dst.I64()[0] != &buf[0] {
+		t.Error("CondenseInto reallocated a buffer with enough capacity")
+	}
+	CondenseInto(dst, v, nil)
+	if !dst.Equal(v) {
+		t.Fatalf("CondenseInto(nil sel) = %v, want a copy of %v", dst, v)
+	}
+	if n := testing.AllocsPerRun(100, func() { CondenseInto(dst, v, Sel{1, 3}) }); n != 0 {
+		t.Errorf("CondenseInto allocated %v times per call", n)
+	}
+	if !Condense(v, Sel{1, 3}).Equal(CondenseInto(New(I64, 0, 0), v, Sel{1, 3})) {
+		t.Error("Condense and CondenseInto disagree")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("CondenseInto across kinds should panic")
+		}
+	}()
+	CondenseInto(New(F64, 0, 0), v, nil)
+}
+
 // Property: mask→sel→mask is the identity.
 func TestMaskSelRoundTripProperty(t *testing.T) {
 	f := func(mask []bool) bool {

@@ -119,6 +119,23 @@ func (st *DSMStore) Scan(lo, n int, cols []int, dst []*Vector) int {
 	return n
 }
 
+// View is Scan without the copy: it points each dst header at rows
+// [lo, lo+n) of the named column (see Vector.SliceInto) and returns the
+// number of rows viewed. The views share storage with the table, so readers
+// must not write through them; growing a view reallocates it.
+func (st *DSMStore) View(lo, n int, cols []int, dst []*Vector) int {
+	if lo >= st.rows {
+		return 0
+	}
+	if lo+n > st.rows {
+		n = st.rows - lo
+	}
+	for k, ci := range cols {
+		st.cols[ci].SliceInto(dst[k], lo, lo+n)
+	}
+	return n
+}
+
 // NSMStore stores fixed-width rows contiguously (row-major). String columns
 // are kept in a side array since they are not fixed width; the row holds an
 // index into it. This mirrors how real NSM pages store out-of-line data.

@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -167,5 +168,31 @@ func TestNSMRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDSMViewMatchesScan: View reports the same rows Scan copies, clamps at
+// the table end, and shares the table's storage.
+func TestDSMViewMatchesScan(t *testing.T) {
+	st := NewDSMStore(NewSchema("a", I64, "b", Str))
+	for i := 0; i < 10; i++ {
+		st.AppendRow(I64Value(int64(i)), StrValue(fmt.Sprint("s", i)))
+	}
+	cols := []int{1, 0}
+	views := []*Vector{new(Vector), new(Vector)}
+	copies := []*Vector{NewLen(Str, 4), NewLen(I64, 4)}
+	if n, m := st.View(7, 4, cols, views), st.Scan(7, 4, cols, copies); n != 3 || m != 3 {
+		t.Fatalf("View/Scan rows = %d/%d, want 3/3", n, m)
+	}
+	for k := range cols {
+		if !views[k].Equal(copies[k]) {
+			t.Errorf("column %d: view %v, scan %v", k, views[k], copies[k])
+		}
+	}
+	if &views[1].I64()[0] != &st.Col(0).I64()[7] {
+		t.Error("View copied instead of viewing the table column")
+	}
+	if st.View(10, 4, cols, views) != 0 {
+		t.Error("View past the end should report 0 rows")
 	}
 }

@@ -309,29 +309,36 @@ func (v *Vector) Clone() *Vector {
 	return out
 }
 
-// Slice returns a view of v[lo:hi] sharing storage with v.
-func (v *Vector) Slice(lo, hi int) *Vector {
+// Slice returns a view of v[lo:hi] sharing storage with v. The view's
+// capacity ends at hi, so growing the view (SetLen, AppendValue,
+// AppendVector) reallocates instead of overwriting v past hi.
+func (v *Vector) Slice(lo, hi int) *Vector { return v.SliceInto(new(Vector), lo, hi) }
+
+// SliceInto is Slice into a caller-owned header: it repoints dst — whatever
+// it held before — at v[lo:hi] and returns it. Scans use it to hand out
+// views of stored columns without allocating a header per chunk.
+func (v *Vector) SliceInto(dst *Vector, lo, hi int) *Vector {
 	if lo < 0 || hi > v.n || lo > hi {
 		panic(fmt.Sprintf("vector.Slice: range [%d:%d] out of bounds (len %d)", lo, hi, v.n))
 	}
-	out := &Vector{kind: v.kind, n: hi - lo}
+	*dst = Vector{kind: v.kind, n: hi - lo}
 	switch v.kind {
 	case Bool:
-		out.b = v.b[lo:hi]
+		dst.b = v.b[lo:hi:hi]
 	case I8:
-		out.i8 = v.i8[lo:hi]
+		dst.i8 = v.i8[lo:hi:hi]
 	case I16:
-		out.i16 = v.i16[lo:hi]
+		dst.i16 = v.i16[lo:hi:hi]
 	case I32:
-		out.i32 = v.i32[lo:hi]
+		dst.i32 = v.i32[lo:hi:hi]
 	case I64:
-		out.i64 = v.i64[lo:hi]
+		dst.i64 = v.i64[lo:hi:hi]
 	case F64:
-		out.f64 = v.f64[lo:hi]
+		dst.f64 = v.f64[lo:hi:hi]
 	case Str:
-		out.str = v.str[lo:hi]
+		dst.str = v.str[lo:hi:hi]
 	}
-	return out
+	return dst
 }
 
 // CopyFrom copies src[srcLo:srcLo+n] into v[dstLo:dstLo+n]. Kinds must match.

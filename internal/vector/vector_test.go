@@ -176,6 +176,48 @@ func TestSliceView(t *testing.T) {
 	v.Slice(3, 10)
 }
 
+// TestSliceGrowthDoesNotWriteParent: a view's capacity ends at its upper
+// bound, so growing the view reallocates rather than overwriting the
+// parent's elements past the view — which matters once scans hand out
+// views of stored table columns.
+func TestSliceGrowthDoesNotWriteParent(t *testing.T) {
+	v := FromI64([]int64{1, 2, 3, 4})
+	s := v.Slice(0, 2)
+	s.AppendValue(I64Value(9))
+	if !v.Equal(FromI64([]int64{1, 2, 3, 4})) {
+		t.Fatalf("AppendValue on a view wrote through to the parent: %v", v)
+	}
+	if !s.Equal(FromI64([]int64{1, 2, 9})) {
+		t.Fatalf("grown view = %v, want [1 2 9]", s)
+	}
+	w := v.Slice(1, 3)
+	w.SetLen(3)
+	w.AppendVector(FromI64([]int64{7, 8}))
+	if !v.Equal(FromI64([]int64{1, 2, 3, 4})) {
+		t.Fatalf("SetLen/AppendVector on a view wrote through to the parent: %v", v)
+	}
+	for _, k := range []Kind{Bool, I8, I16, I32, F64, Str} {
+		p := NewLen(k, 4)
+		view := p.Slice(1, 2)
+		if view.Cap() != 1 {
+			t.Errorf("%v view capacity = %d, want 1", k, view.Cap())
+		}
+	}
+}
+
+// TestSliceIntoReusesHeader: SliceInto repoints an existing header, of any
+// previous kind, without allocating.
+func TestSliceIntoReusesHeader(t *testing.T) {
+	v := FromF64([]float64{1, 2, 3, 4})
+	h := FromStr([]string{"stale"})
+	if got := v.SliceInto(h, 1, 3); got != h || !h.Equal(FromF64([]float64{2, 3})) {
+		t.Fatalf("SliceInto = %v, want f64[2 3] in the same header", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { v.SliceInto(h, 0, 4) }); n != 0 {
+		t.Errorf("SliceInto allocated %v times per call", n)
+	}
+}
+
 func TestCopyFromAppendVector(t *testing.T) {
 	a := FromF64([]float64{1, 2, 3})
 	b := NewLen(F64, 3)
