@@ -461,7 +461,7 @@ func (b *builder) pipeMaker(stages []*Plan, scan *Plan) (mk func(int, engine.Ope
 // fusePlan compiles — or fetches from the engine's code cache — the fused
 // program for a streaming segment. It returns nil when the plan is not warm
 // yet, when the segment declines fusion (a negative outcome, cached so hot
-// unfusable plans pay the pattern-match once), or when the plan is warm but
+// unfusable plans pay the compile attempt once), or when the plan is warm but
 // not yet hot (warm plans compile and prime the cache but keep running
 // interpreted). The returned table list is the query's shared join tables in
 // program order.

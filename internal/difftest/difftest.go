@@ -40,6 +40,9 @@ type Case struct {
 	Plan       *advm.Plan
 	StoredPlan *advm.Plan
 	Desc       string
+	// Fusable reports that the plan's streaming segment has a filter or
+	// compute stage, so a session with tiering forced hot must run it fused.
+	Fusable bool
 
 	stored []*colstore.Table
 }
@@ -70,6 +73,8 @@ type gen struct {
 	// lastAggSchema remembers the output columns of the last generated
 	// aggregate, so a stacked top-k can sort on them.
 	lastAggSchema []col
+	// stages counts the filter and compute stages generated so far.
+	stages int
 }
 
 func (g *gen) note(format string, args ...any) {
@@ -106,6 +111,7 @@ func newCase(seed int64, dir string) (*Case, error) {
 	planSeed := g.rng.Int63()
 	pg := &gen{rng: rand.New(rand.NewSource(planSeed))}
 	c.Plan = pg.genPlan(probe, build)
+	c.Fusable = pg.stages > 0
 	c.Desc = fmt.Sprintf("seed=%d rows=%d/%d: %s", seed, probe.Rows(), build.Rows(), strings.Join(pg.desc, " → "))
 	if dir == "" {
 		return c, nil
@@ -206,6 +212,7 @@ func (g *gen) genPlan(probe, build advm.TableSource) *advm.Plan {
 // genStages appends up to max random filter/compute stages.
 func (g *gen) genStages(p *advm.Plan, cols []col, max int) (*advm.Plan, []col) {
 	n := g.rng.Intn(max + 1)
+	g.stages += n
 	for i := 0; i < n; i++ {
 		if g.rng.Intn(100) < 50 {
 			p = g.genFilter(p, cols)
@@ -229,10 +236,15 @@ func (g *gen) pickNumeric(cols []col) col {
 
 // genFilter appends a random predicate over a numeric column. Selectivities
 // vary from near-0 to near-1, including predicates that empty the stream.
+// Half the predicates are the fixed TPC-H-like shapes, half random
+// expression trees (see genPred).
 func (g *gen) genFilter(p *advm.Plan, cols []col) *advm.Plan {
 	c := g.pickNumeric(cols)
 	var lambda string
-	if c.kind == advm.I64 {
+	switch {
+	case g.rng.Intn(2) == 0:
+		lambda = fmt.Sprintf(`(\v -> %s)`, g.genPred(col{"v", c.kind}, 2))
+	case c.kind == advm.I64:
 		switch g.rng.Intn(3) {
 		case 0:
 			cut := g.rng.Int63n(120000) - 60000
@@ -245,7 +257,7 @@ func (g *gen) genFilter(p *advm.Plan, cols []col) *advm.Plan {
 			lo := g.rng.Int63n(400)
 			lambda = fmt.Sprintf(`(\v -> (v >= %d) && (v < %d))`, lo, lo+g.rng.Int63n(300))
 		}
-	} else {
+	default:
 		cut := (g.rng.Float64() - 0.5) * 1.2e4
 		if g.rng.Intn(2) == 0 {
 			lambda = fmt.Sprintf(`(\v -> v < %g)`, cut)
@@ -258,14 +270,34 @@ func (g *gen) genFilter(p *advm.Plan, cols []col) *advm.Plan {
 	return p.FilterMode(mode, lambda, c.name)
 }
 
-// genCompute appends a random arithmetic compute over 1–2 numeric columns.
+// genCompute appends a random arithmetic compute over 1–2 numeric columns:
+// half the time one of the fixed TPC-H-like shapes, otherwise a random
+// expression tree whose declared kind may differ from the expression's, so
+// the lowering inserts a cast.
 func (g *gen) genCompute(p *advm.Plan, cols []col) (*advm.Plan, []col) {
 	c1 := g.pickNumeric(cols)
 	out := fmt.Sprintf("c%d_%d", len(cols), g.rng.Intn(1000))
 	var lambda string
 	var kind advm.Kind
 	var inputs []string
-	if c1.kind == advm.I64 {
+	switch {
+	case g.rng.Intn(2) == 0:
+		params := []col{{"u", c1.kind}}
+		inputs = []string{c1.name}
+		if g.rng.Intn(2) == 0 {
+			c2 := g.pickNumeric(cols)
+			params = append(params, col{"v", c2.kind})
+			inputs = append(inputs, c2.name)
+		}
+		// Lead with a parameter so the lambda always depends on its inputs.
+		p0 := params[g.rng.Intn(len(params))]
+		e, k := g.genArith(params, 2)
+		e, kind = fmt.Sprintf("(%s %s %s)", p0.name, []string{"+", "-", "*"}[g.rng.Intn(3)], e), widen(p0.kind, k)
+		if g.rng.Intn(3) == 0 {
+			kind = map[advm.Kind]advm.Kind{advm.I64: advm.F64, advm.F64: advm.I64}[kind]
+		}
+		lambda = fmt.Sprintf(`(\%s -> %s)`, paramNames(params), e)
+	case c1.kind == advm.I64:
 		kind = advm.I64
 		switch g.rng.Intn(3) {
 		case 0:
@@ -283,7 +315,7 @@ func (g *gen) genCompute(p *advm.Plan, cols []col) (*advm.Plan, []col) {
 			lambda = `(\u v -> u + v * 2)`
 			inputs = []string{c1.name, c2.name}
 		}
-	} else {
+	default:
 		kind = advm.F64
 		switch g.rng.Intn(2) {
 		case 0:
@@ -294,9 +326,110 @@ func (g *gen) genCompute(p *advm.Plan, cols []col) (*advm.Plan, []col) {
 			inputs = []string{c1.name}
 		}
 	}
-	g.note("compute[%s=%s(%s)]", out, lambda, strings.Join(inputs, ","))
+	g.note("compute[%s:%v=%s(%s)]", out, kind, lambda, strings.Join(inputs, ","))
 	mode := []advm.EvalMode{advm.EvalAdaptive, advm.EvalFull, advm.EvalSelective}[g.rng.Intn(3)]
 	return p.ComputeMode(mode, out, lambda, kind, inputs...), append(cols, col{out, kind})
+}
+
+// genPred returns a random predicate over parameter v: comparisons of
+// arithmetic over v against constants on either side — fractional ones
+// against integer columns included — combined with &&, || and !.
+func (g *gen) genPred(v col, depth int) string {
+	if depth > 0 && g.rng.Intn(2) == 0 {
+		l, r := g.genPred(v, depth-1), g.genPred(v, depth-1)
+		switch g.rng.Intn(3) {
+		case 0:
+			return fmt.Sprintf("(%s && %s)", l, r)
+		case 1:
+			return fmt.Sprintf("(%s || %s)", l, r)
+		default:
+			return "!" + l
+		}
+	}
+	lhs := v.name
+	if g.rng.Intn(2) == 0 {
+		e, _ := g.genArith([]col{v}, 1)
+		lhs = fmt.Sprintf("(%s %s %s)", v.name, []string{"+", "-", "*"}[g.rng.Intn(3)], e)
+	}
+	var c string
+	switch {
+	case v.kind == advm.I64 && g.rng.Intn(2) == 0:
+		c = fmt.Sprint(g.rng.Int63n(400)) // the small-domain columns' range
+	case g.rng.Intn(3) == 0:
+		c, _ = g.genConst()
+	default:
+		c = fmt.Sprintf("%g", (g.rng.Float64()-0.5)*1.2e4)
+	}
+	cmp := []string{"<", "<=", ">", ">=", "==", "!="}[g.rng.Intn(6)]
+	if g.rng.Intn(3) == 0 {
+		return fmt.Sprintf("(%s %s %s)", c, cmp, lhs)
+	}
+	return fmt.Sprintf("(%s %s %s)", lhs, cmp, c)
+}
+
+// genArith returns a random arithmetic expression over params and its kind:
+// nested + - * / %, unary minus, integer and fractional constants on either
+// side. Values stay finite however computes chain: a product is of two
+// parameters or by a constant, and f64 division is by a nonzero constant
+// (integer division and modulo are total).
+func (g *gen) genArith(params []col, depth int) (string, advm.Kind) {
+	if depth == 0 || g.rng.Intn(4) == 0 {
+		if g.rng.Intn(3) > 0 {
+			p := params[g.rng.Intn(len(params))]
+			return p.name, p.kind
+		}
+		return g.genConst()
+	}
+	if g.rng.Intn(6) == 0 {
+		e, k := g.genArith(params, depth-1)
+		return fmt.Sprintf("-(%s)", e), k
+	}
+	isParam := func(e string) bool {
+		for _, p := range params {
+			if p.name == e {
+				return true
+			}
+		}
+		return false
+	}
+	l, lk := g.genArith(params, depth-1)
+	r, rk := g.genArith(params, depth-1)
+	op := []string{"+", "-", "*", "/", "%"}[g.rng.Intn(5)]
+	if op == "*" && !(isParam(l) && isParam(r)) {
+		r, rk = g.genConst()
+	}
+	kind := widen(lk, rk)
+	switch {
+	case kind == advm.F64 && op == "%":
+		op = "-"
+	case kind == advm.F64 && op == "/":
+		r = fmt.Sprintf("%d.5", g.rng.Intn(9))
+	}
+	return fmt.Sprintf("(%s %s %s)", l, op, r), kind
+}
+
+// genConst returns a small integer or fractional constant.
+func (g *gen) genConst() (string, advm.Kind) {
+	if g.rng.Intn(2) == 0 {
+		return fmt.Sprint(g.rng.Int63n(41) - 20), advm.I64
+	}
+	return fmt.Sprintf("%.2f", (g.rng.Float64()-0.5)*40), advm.F64
+}
+
+// widen is the kind of a binary arithmetic result.
+func widen(a, b advm.Kind) advm.Kind {
+	if a == advm.F64 || b == advm.F64 {
+		return advm.F64
+	}
+	return advm.I64
+}
+
+func paramNames(params []col) string {
+	names := make([]string, len(params))
+	for i, p := range params {
+		names[i] = p.name
+	}
+	return strings.Join(names, " ")
 }
 
 // genJoin probes the build table on k = bk, carrying payload columns. The

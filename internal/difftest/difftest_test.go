@@ -47,7 +47,6 @@ func TestDifferential(t *testing.T) {
 		seeds = 6
 	}
 	ctx := context.Background()
-	var fusedQueries int64
 	for seed := int64(1); seed <= seeds; seed++ {
 		var c *Case
 		var err error
@@ -121,6 +120,7 @@ func TestDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, pl := range plans {
+				fused := sess.Stats().FusedQueries
 				got, err := Collect(ctx, sess, pl.plan)
 				if err != nil {
 					sess.Close()
@@ -136,21 +136,18 @@ func TestDifferential(t *testing.T) {
 						t.Fatalf("%s [%s/%s]: row %d differs\n got: %s\nwant: %s", c.Desc, cfg.name, pl.name, i, got[i], want[i])
 					}
 				}
-			}
-			if cfg.forceHot {
-				fusedQueries += sess.Stats().FusedQueries
+				// Every lambda the interpreter runs must fuse: a forced-hot
+				// query over a segment with a filter or compute runs fused.
+				if cfg.forceHot && c.Fusable && sess.Stats().FusedQueries == fused {
+					sess.Close()
+					t.Fatalf("%s [%s/%s]: the segment did not run fused", c.Desc, cfg.name, pl.name)
+				}
 			}
 			sess.Close()
 		}
 		if err := c.Close(); err != nil {
 			t.Fatalf("%s: close: %v", c.Desc, err)
 		}
-	}
-	// Not every random plan has a fusable segment, but across the seed spread
-	// the forced-hot configs must have actually exercised fused loops — a zero
-	// here means the tiered leg silently tested nothing.
-	if fusedQueries == 0 {
-		t.Fatal("forced-hot configs never mounted a fused loop across all seeds")
 	}
 }
 

@@ -45,19 +45,30 @@ func vmConfigForExpr(enableJIT bool) vm.Config {
 	return cfg
 }
 
-// newExprVM lowers "map (\params -> body) cols..." into a VM.
-func newExprVM(lambda string, inCols []string, inKinds []vector.Kind, outKind vector.Kind, enableJIT bool, jitOpt jit.Options) (*exprVM, error) {
+// LowerExpr lowers a DSL lambda applied to input columns into the normalized
+// program that both the expression VM and the fused tier execute: one read
+// per column (external arrays named after the columns), the lambda as
+// "map λ c0 c1 …" — or, when filter is set, as "filter λ c0" over the single
+// column — and a write of the result to the external "out" of outKind.
+func LowerExpr(lambda string, filter bool, inCols []string, inKinds []vector.Kind, outKind vector.Kind) (*nir.Program, error) {
 	var sb strings.Builder
 	for i, col := range inCols {
 		fmt.Fprintf(&sb, "let c%d = read 0 %s\n", i, col)
 	}
-	sb.WriteString("let r = map " + lambda)
+	if filter {
+		sb.WriteString("let r = filter " + lambda)
+	} else {
+		sb.WriteString("let r = map " + lambda)
+	}
 	for i := range inCols {
 		fmt.Fprintf(&sb, " c%d", i)
 	}
 	sb.WriteString("\nwrite out 0 r\n")
 
 	prog, err := dsl.Parse(sb.String())
+	if err == nil && !appliesLambda(prog, len(inCols)) {
+		err = errors.New("not one lambda over the columns")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: lowering %q: %v", ErrExpr, lambda, err)
 	}
@@ -68,6 +79,85 @@ func newExprVM(lambda string, inCols []string, inKinds []vector.Kind, outKind ve
 	np, err := nir.Normalize(prog, kinds)
 	if err != nil {
 		return nil, fmt.Errorf("%w: normalizing %q: %v", ErrExpr, lambda, err)
+	}
+	if err := checkRowWise(np, filter, len(inCols)); err != nil {
+		return nil, fmt.Errorf("%w: lowering %q: %v", ErrExpr, lambda, err)
+	}
+	return np, nil
+}
+
+// appliesLambda reports whether prog is exactly the n column reads, one map
+// or filter of a lambda over c0…c(n-1), and the write, so that lambda source
+// such as "(\v -> 0) 0 >" cannot splice into the program around it.
+func appliesLambda(prog *dsl.Program, n int) bool {
+	if len(prog.Funcs) != 0 || len(prog.Body) != n+2 {
+		return false
+	}
+	let, ok := prog.Body[n].(*dsl.Let)
+	if !ok {
+		return false
+	}
+	var args []dsl.Expr
+	switch e := let.Val.(type) {
+	case *dsl.MapExpr:
+		args = e.Args
+	case *dsl.FilterExpr:
+		args = []dsl.Expr{e.Arg}
+	}
+	if len(args) != n {
+		return false
+	}
+	for i, a := range args {
+		if v, ok := a.(*dsl.VarRef); !ok || v.Name != fmt.Sprintf("c%d", i) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkRowWise verifies that a lowered lambda computes its result row by
+// row: the column reads, then scalar arithmetic and element-wise maps, a
+// filter's selections each narrowing the previous one, and the write of a
+// flow. Anything else — len, fold, gather, a nested filter, or a lambda that
+// ignores its parameters — would give a result whose length or values
+// depend on the chunking, so it is rejected.
+func checkRowWise(np *nir.Program, filter bool, reads int) error {
+	cur := nir.NoReg // the selected flow of a filter
+	for _, node := range np.Body {
+		n, ok := node.(*nir.InstrNode)
+		if !ok {
+			return errors.New("control flow in a lambda")
+		}
+		switch in := n.Instr; in.Op {
+		case nir.OpConst, nir.OpBinS, nir.OpUnS, nir.OpCast, nir.OpMapBin, nir.OpMapCmp, nir.OpMapUn:
+		case nir.OpRead:
+			if reads--; reads < 0 {
+				return errors.New("read inside a lambda")
+			}
+			if cur == nir.NoReg {
+				cur = in.Dst
+			}
+		case nir.OpSelect, nir.OpSelectCmp:
+			if !filter || in.A != cur {
+				return errors.New("filter inside a lambda")
+			}
+			cur = in.Dst
+		case nir.OpWrite:
+			if np.Reg(in.B).Scalar || (filter && in.B != cur) {
+				return errors.New("the lambda does not depend on its parameters")
+			}
+		default:
+			return fmt.Errorf("%s inside a lambda", in.Op)
+		}
+	}
+	return nil
+}
+
+// newExprVM lowers "map (\params -> body) cols..." into a VM.
+func newExprVM(lambda string, inCols []string, inKinds []vector.Kind, outKind vector.Kind, enableJIT bool, jitOpt jit.Options) (*exprVM, error) {
+	np, err := LowerExpr(lambda, false, inCols, inKinds, outKind)
+	if err != nil {
+		return nil, err
 	}
 	cfg := vmConfigForExpr(enableJIT)
 	cfg.JIT = jitOpt

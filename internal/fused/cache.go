@@ -5,7 +5,7 @@ import "sync"
 // Cache is the engine-wide fused-code cache: compiled programs keyed by
 // plan fingerprint + specialization signature. Negative entries are cached
 // too — a segment the compiler declined once is declined from the cache
-// from then on, so unfusable hot plans pay the pattern-match exactly once.
+// from then on, so unfusable hot plans pay the compile attempt exactly once.
 //
 // The cache is bounded: a workload cycling through endlessly distinct plans
 // recycles the least-recently-used slot instead of growing without bound

@@ -53,14 +53,15 @@ type Exec struct {
 
 	resolved []*engine.JoinTable
 
-	// Reusable scratch (allocation-free across chunks after warm-up). The
-	// emitted chunk is out, with idx as its selection and bufs — per op,
-	// the computed column or the probe's gathered columns — as its
-	// non-scan columns; all are overwritten by the next chunk.
+	// Reusable scratch (allocation-free across chunks after warm-up). vals
+	// holds the program's values for the current chunk: the scan columns,
+	// then bufs — per op, the computed vector or the probe's gathered
+	// columns. The emitted chunk is out, with idx as its selection; all are
+	// overwritten by the next chunk.
 	idx      []int32
 	probeIdx []int32
 	buildIdx []int32
-	slots    []*vector.Vector
+	vals     []*vector.Vector
 	bufs     [][]*vector.Vector
 	out      vector.Chunk
 

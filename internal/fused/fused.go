@@ -1,9 +1,14 @@
 // Package fused is the relational JIT tier of the adaptive VM: it compiles a
-// hot streaming plan segment — scan→filter→compute→probe — into one
-// specialized, defunctionalized opcode loop, replacing the chain of
-// vectorized operators (and their per-chunk expression-VM dispatch) with
-// monomorphized snippets selected per (column type, predicate shape,
-// compute op).
+// hot streaming plan segment — scan→filter→compute→probe — into one loop
+// over bound kernels, replacing the chain of vectorized operators (and their
+// per-chunk expression-VM dispatch). Every filter and compute lambda is
+// lowered by engine.LowerExpr, the normalizer the interpreted operators use,
+// and each normalized instruction binds to the kernel the interpreter would
+// run (primitive.Bind); scalar instructions fold at compile time. A fused
+// program is therefore a list of kernel, in-place selection and probe
+// instructions over the chunk's values, and computes what the interpreted
+// chain computes by construction: the same instructions through the same
+// kernels.
 //
 // The tier boundary mirrors the paper's micro-adaptive machinery on the
 // query side: cold plans run the existing vectorized interpreter; once a
@@ -15,10 +20,11 @@
 // to the interpreted operator chain at a chunk boundary when a guard trips,
 // so results are byte-identical to interpreted execution in every case.
 //
-// Compilation is best-effort by construction: a lambda whose shape has no
-// monomorphized snippet (or whose constant kind does not match the column)
-// simply declines fusion, and the plan keeps running interpreted. The
-// compiler therefore never needs to be complete, only correct.
+// Every lambda the interpreted operators accept compiles. A segment
+// declines fusion, and keeps running interpreted, only when a lambda does
+// not lower at all or for a structural reason: an unknown or duplicate
+// column, an output that shadows a column, a non-i64 probe key or a missing
+// payload column.
 //
 // Concurrency contract: a compiled Program is immutable and safe to share —
 // the engine-wide code cache hands one instance to every query and every

@@ -36,41 +36,50 @@ func buildTable(n, dup int) *engine.SharedJoinTable {
 		})
 }
 
-// TestCompileShapes exercises every monomorphized snippet and the main
-// decline paths: compilation is best-effort, so an unrecognized shape must
-// return ok=false rather than a wrong program.
+// TestCompileShapes: every lambda the interpreted operators accept compiles,
+// to one instruction per bound kernel, selection or probe; a segment
+// declines only when its lambda does not lower or for a structural reason.
 func TestCompileShapes(t *testing.T) {
 	scan := []engine.ColInfo{ci("k", vector.I64), ci("x", vector.F64)}
+	filter := func(lambda, col string) []fused.Stage {
+		return []fused.Stage{{Kind: fused.StageFilter, Lambda: lambda, Col: col}}
+	}
+	compute := func(lambda string, kind vector.Kind, cols ...string) []fused.Stage {
+		return []fused.Stage{{Kind: fused.StageCompute, Lambda: lambda, Out: "y", OutKind: kind, Cols: cols}}
+	}
 	cases := []struct {
 		name   string
 		stages []fused.Stage
 		ok     bool
 		ops    int
 	}{
-		{"filter-lt-i64", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\k -> k < 10)`, Col: "k"}}, true, 1},
-		{"filter-conj", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\k -> (k >= 3) && (k <= 90))`, Col: "k"}}, true, 2},
-		{"filter-mod-eq", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\k -> (k % 7) == 2)`, Col: "k"}}, true, 1},
-		{"filter-f64", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\x -> x != 2.5)`, Col: "x"}}, true, 1},
-		{"filter-neg-const", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\x -> x > -1.5)`, Col: "x"}}, true, 1},
-		{"compute-affine-i64", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\k -> k * 3 + 7)`, Out: "y", OutKind: vector.I64, Cols: []string{"k"}}}, true, 1},
-		{"compute-scale", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\k -> k * 5)`, Out: "y", OutKind: vector.I64, Cols: []string{"k"}}}, true, 1},
-		{"compute-square", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\x -> x * x)`, Out: "y", OutKind: vector.F64, Cols: []string{"x"}}}, true, 1},
-		{"compute-modmul", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\k -> (k % 10) * 3)`, Out: "y", OutKind: vector.I64, Cols: []string{"k"}}}, true, 1},
-		{"compute-muladd", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\k j -> k + j * 2)`, Out: "y", OutKind: vector.I64, Cols: []string{"k", "k"}}}, true, 1},
-		{"compute-mul-f64", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\x y -> x * y)`, Out: "z", OutKind: vector.F64, Cols: []string{"x", "x"}}}, true, 1},
-		{"compute-mul-const-sub", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\x y -> x * (1.0 - y))`, Out: "z", OutKind: vector.F64, Cols: []string{"x", "x"}}}, true, 1},
-		{"compute-mul-const-add", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\x y -> x * (1.0 + y))`, Out: "z", OutKind: vector.F64, Cols: []string{"x", "x"}}}, true, 1},
+		{"filter-lt-i64", filter(`(\k -> k < 10)`, "k"), true, 1},
+		{"filter-conj", filter(`(\k -> (k >= 3) && (k <= 90))`, "k"), true, 2},
+		{"filter-mod-eq", filter(`(\k -> (k % 7) == 2)`, "k"), true, 3}, // mod, eq, select
+		{"filter-f64", filter(`(\x -> x != 2.5)`, "x"), true, 1},
+		{"filter-neg-const", filter(`(\x -> x > -1.5)`, "x"), true, 1},
+		{"filter-const-on-left", filter(`(\k -> 10 > k)`, "k"), true, 1},
+		{"filter-frac-const", filter(`(\k -> k < 10.5)`, "k"), true, 3}, // cast, lt, select
+		{"filter-mod-zero", filter(`(\k -> (k % 0) == 1)`, "k"), true, 3},
+		{"filter-or", filter(`(\k -> (k < 3) || (k > 90))`, "k"), true, 4}, // lt, gt, or, select
+		{"compute-affine-i64", compute(`(\k -> k * 3 + 7)`, vector.I64, "k"), true, 2},
+		{"compute-affine-to-f64", compute(`(\k -> k * 3 + 7)`, vector.F64, "k"), true, 3}, // mul, add, cast
+		{"compute-scale", compute(`(\k -> k * 5)`, vector.I64, "k"), true, 1},
+		{"compute-square", compute(`(\x -> x * x)`, vector.F64, "x"), true, 1},
+		{"compute-double", compute(`(\k -> k + k)`, vector.I64, "k"), true, 1},
+		{"compute-folded-consts", compute(`(\k -> k * (2 + 3))`, vector.I64, "k"), true, 1},
+		{"compute-muladd", compute(`(\k j -> k + j * 2)`, vector.I64, "k", "k"), true, 2},
+		{"compute-mul-const-sub", compute(`(\x y -> x * (1.0 - y))`, vector.F64, "x", "x"), true, 2},
+		{"compute-identity", compute(`(\k -> k)`, vector.I64, "k"), true, 0},
 		{"probe", []fused.Stage{{Kind: fused.StageProbe, ProbeKey: "k", Payload: []string{"pay"},
 			BuildNames: []string{"bk", "pay"}, BuildKinds: []vector.Kind{vector.I64, vector.I64}}}, true, 1},
 		// Declines.
-		{"kind-mismatch-const", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\k -> k < 10.5)`, Col: "k"}}, false, 0},
-		{"unknown-col", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\v -> v < 10)`, Col: "nope"}}, false, 0},
-		{"unparsable", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\k -> `, Col: "k"}}, false, 0},
-		{"const-on-left", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\k -> 10 > k)`, Col: "k"}}, false, 0},
-		{"mod-zero", []fused.Stage{{Kind: fused.StageFilter, Lambda: `(\k -> (k % 0) == 1)`, Col: "k"}}, false, 0},
+		{"unknown-col", filter(`(\v -> v < 10)`, "nope"), false, 0},
+		{"unparsable", filter(`(\k -> `, "k"), false, 0},
+		{"filter-not-bool", filter(`(\k -> k + 1)`, "k"), false, 0},
+		{"compute-constant", compute(`(\k -> 5)`, vector.I64, "k"), false, 0},
+		{"compute-len", compute(`(\k -> k + len(k))`, vector.I64, "k"), false, 0},
 		{"compute-shadow", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\k -> k * 2)`, Out: "x", OutKind: vector.I64, Cols: []string{"k"}}}, false, 0},
-		{"compute-unknown-shape", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\k -> k + k)`, Out: "y", OutKind: vector.I64, Cols: []string{"k"}}}, false, 0},
-		{"compute-wrong-out-kind", []fused.Stage{{Kind: fused.StageCompute, Lambda: `(\k -> k * 3 + 7)`, Out: "y", OutKind: vector.F64, Cols: []string{"k"}}}, false, 0},
 		{"probe-f64-key", []fused.Stage{{Kind: fused.StageProbe, ProbeKey: "x", Payload: nil,
 			BuildNames: []string{"bk"}, BuildKinds: []vector.Kind{vector.I64}}}, false, 0},
 		{"probe-missing-payload", []fused.Stage{{Kind: fused.StageProbe, ProbeKey: "k", Payload: []string{"zz"},
@@ -281,9 +290,10 @@ func TestExecProbeCapacityGuard(t *testing.T) {
 	storesEqual(t, got, want)
 }
 
-// TestExecAllSnippets runs one segment through every remaining monomorphized
-// snippet — the F64 comparison family, equality filters, mod filters and the
-// rest of the compute ops — against the interpreted chain.
+// TestExecAllSnippets runs single-stage segments — every comparison over
+// both kinds, the mask path, constants on either side, fractional constants
+// against an integer column, casts and multi-instruction computes — against
+// the interpreted chain.
 func TestExecAllSnippets(t *testing.T) {
 	st := testTable(3000)
 	scan := []engine.ColInfo{ci("k", vector.I64), ci("x", vector.F64)}
@@ -329,6 +339,17 @@ func TestExecAllSnippets(t *testing.T) {
 		comp(`(\k j -> k + j * 3)`, vector.I64, "k", "k"),
 		comp(`(\x y -> x * (2.0 - y))`, vector.F64, "x", "x"),
 		comp(`(\x y -> x * (2.0 + y))`, vector.F64, "x", "x"),
+		filt(`(\k -> 10 > k)`, "k"),
+		filt(`(\k -> k < 10.5)`, "k"),
+		filt(`(\k -> k >= -10.5)`, "k"),
+		filt(`(\k -> k == 40.0)`, "k"),
+		filt(`(\k -> (k % 0) == 1)`, "k"),
+		filt(`(\k -> (k < 5) || (k > 90))`, "k"),
+		filt(`(\x -> !(x < 100.5) && (x < 300))`, "x"),
+		comp(`(\k -> k + k)`, vector.I64, "k"),
+		comp(`(\k -> k * 3 + 7)`, vector.F64, "k"),
+		comp(`(\k x -> -(k % 7) * x / 3)`, vector.F64, "k", "x"),
+		comp(`(\x -> sqrt(abs(x)) - 1)`, vector.F64, "x"),
 	}
 	for _, sp := range specs {
 		prog, ok := fused.Compile(scan, sp.stages)

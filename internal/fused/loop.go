@@ -1,6 +1,7 @@
 package fused
 
 import (
+	"repro/internal/primitive"
 	"repro/internal/vector"
 )
 
@@ -19,234 +20,62 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 	if n == 0 {
 		return nil, true
 	}
-	e.slots = e.slots[:0]
+	if e.vals == nil {
+		e.vals = make([]*vector.Vector, e.prog.nvals)
+		e.bufs = make([][]*vector.Vector, len(e.prog.ops))
+	}
 	for i := 0; i < in.Width(); i++ {
-		e.slots = append(e.slots, in.Col(i))
+		e.vals[i] = in.Col(i)
 	}
-	e.idx = e.idx[:0]
-	if s := in.Sel(); s != nil {
-		e.idx = append(e.idx, s...)
-	} else {
-		for i := 0; i < n; i++ {
-			e.idx = append(e.idx, int32(i))
-		}
+	// rows is the physical length of the current values. While dense, every
+	// row is selected and idx is not materialized.
+	rows, dense := n, in.Sel() == nil
+	if !dense {
+		e.idx = append(e.idx[:0], in.Sel()...)
 	}
-	curLen := n
 
 	for oi := range e.prog.ops {
 		o := &e.prog.ops[oi]
-		idx := e.idx
-		k := 0
-		switch o.code {
-
-		case opFilterLtI64:
-			src, c := e.slots[o.a].I64(), o.ci
-			for _, r := range idx {
-				if src[r] < c {
-					idx[k] = r
-					k++
+		sel, hi := e.idx, len(e.idx)
+		if dense {
+			sel, hi = nil, rows
+		}
+		switch {
+		case o.sel != nil:
+			e.idx = o.sel(e.idx, e.vals[o.a.v], o.b.c, sel, 0, hi)
+			dense = dense && len(e.idx) == rows
+		case o.mask:
+			e.idx = primitive.SelectFromBoolInto(e.idx, e.vals[o.a.v], sel)
+			dense = dense && len(e.idx) == rows
+		case o.probe != nil:
+			if dense {
+				e.idx = e.idx[:0]
+				for i := 0; i < rows; i++ {
+					e.idx = append(e.idx, int32(i))
 				}
 			}
-			e.idx = idx[:k]
-		case opFilterLeI64:
-			src, c := e.slots[o.a].I64(), o.ci
-			for _, r := range idx {
-				if src[r] <= c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterGtI64:
-			src, c := e.slots[o.a].I64(), o.ci
-			for _, r := range idx {
-				if src[r] > c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterGeI64:
-			src, c := e.slots[o.a].I64(), o.ci
-			for _, r := range idx {
-				if src[r] >= c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterEqI64:
-			src, c := e.slots[o.a].I64(), o.ci
-			for _, r := range idx {
-				if src[r] == c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterNeI64:
-			src, c := e.slots[o.a].I64(), o.ci
-			for _, r := range idx {
-				if src[r] != c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterModEqI64:
-			src, m, c := e.slots[o.a].I64(), o.ci, o.cj
-			for _, r := range idx {
-				if src[r]%m == c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-
-		case opFilterLtF64:
-			src, c := e.slots[o.a].F64(), o.cf
-			for _, r := range idx {
-				if src[r] < c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterLeF64:
-			src, c := e.slots[o.a].F64(), o.cf
-			for _, r := range idx {
-				if src[r] <= c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterGtF64:
-			src, c := e.slots[o.a].F64(), o.cf
-			for _, r := range idx {
-				if src[r] > c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterGeF64:
-			src, c := e.slots[o.a].F64(), o.cf
-			for _, r := range idx {
-				if src[r] >= c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterEqF64:
-			src, c := e.slots[o.a].F64(), o.cf
-			for _, r := range idx {
-				if src[r] == c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-		case opFilterNeF64:
-			src, c := e.slots[o.a].F64(), o.cf
-			for _, r := range idx {
-				if src[r] != c {
-					idx[k] = r
-					k++
-				}
-			}
-			e.idx = idx[:k]
-
-		case opAffineI64:
-			src := e.slots[o.a].I64()
-			out := e.buf(oi, 0, vector.I64, curLen, n)
-			dst := out.I64()
-			c, d := o.ci, o.cj
-			for _, r := range idx {
-				dst[r] = src[r]*c + d
-			}
-			e.slots = append(e.slots, out)
-		case opModMulI64:
-			src := e.slots[o.a].I64()
-			out := e.buf(oi, 0, vector.I64, curLen, n)
-			dst := out.I64()
-			m, c := o.ci, o.cj
-			for _, r := range idx {
-				dst[r] = (src[r] % m) * c
-			}
-			e.slots = append(e.slots, out)
-		case opMulAddI64:
-			sa, sb := e.slots[o.a].I64(), e.slots[o.b].I64()
-			out := e.buf(oi, 0, vector.I64, curLen, n)
-			dst := out.I64()
-			c := o.ci
-			for _, r := range idx {
-				dst[r] = sa[r] + sb[r]*c
-			}
-			e.slots = append(e.slots, out)
-		case opSquareI64:
-			src := e.slots[o.a].I64()
-			out := e.buf(oi, 0, vector.I64, curLen, n)
-			dst := out.I64()
-			for _, r := range idx {
-				dst[r] = src[r] * src[r]
-			}
-			e.slots = append(e.slots, out)
-		case opAffineF64:
-			src := e.slots[o.a].F64()
-			out := e.buf(oi, 0, vector.F64, curLen, n)
-			dst := out.F64()
-			c, d := o.cf, o.cg
-			for _, r := range idx {
-				dst[r] = src[r]*c + d
-			}
-			e.slots = append(e.slots, out)
-		case opSquareF64:
-			src := e.slots[o.a].F64()
-			out := e.buf(oi, 0, vector.F64, curLen, n)
-			dst := out.F64()
-			for _, r := range idx {
-				dst[r] = src[r] * src[r]
-			}
-			e.slots = append(e.slots, out)
-		case opMulF64:
-			sa, sb := e.slots[o.a].F64(), e.slots[o.b].F64()
-			out := e.buf(oi, 0, vector.F64, curLen, n)
-			dst := out.F64()
-			for _, r := range idx {
-				dst[r] = sa[r] * sb[r]
-			}
-			e.slots = append(e.slots, out)
-		case opMulConstSubF64:
-			sa, sb := e.slots[o.a].F64(), e.slots[o.b].F64()
-			out := e.buf(oi, 0, vector.F64, curLen, n)
-			dst := out.F64()
-			c := o.cf
-			for _, r := range idx {
-				dst[r] = sa[r] * (c - sb[r])
-			}
-			e.slots = append(e.slots, out)
-		case opMulConstAddF64:
-			sa, sb := e.slots[o.a].F64(), e.slots[o.b].F64()
-			out := e.buf(oi, 0, vector.F64, curLen, n)
-			dst := out.F64()
-			c := o.cf
-			for _, r := range idx {
-				dst[r] = sa[r] * (c + sb[r])
-			}
-			e.slots = append(e.slots, out)
-
-		case opProbe:
 			matched, ok := e.runProbe(oi, o, n)
 			if !ok {
 				return nil, false // capacity guard: fan-out beyond the bound
 			}
-			curLen = matched
+			rows, dense = matched, true
+		default:
+			dst := e.buf(oi, 0, o.kern.Out(), rows, n)
+			if 2*hi >= rows {
+				// Mostly selected: the dense loop over every row is cheaper
+				// than indirection, and kernels are total, so the unselected
+				// rows' values are merely never read.
+				sel, hi = nil, rows
+			}
+			o.kern.Run(dst, e.arg(o.a), e.arg(o.b), sel, 0, hi)
+			e.vals[o.dst] = dst
 		}
 	}
 
-	outRows := len(e.idx)
+	outRows := rows
+	if !dense {
+		outRows = len(e.idx)
+	}
 	rate := float64(outRows) / float64(n)
 	if e.warm < guardWarmChunks {
 		e.warm++
@@ -262,22 +91,27 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 	}
 
 	e.out.Reset()
-	for i, v := range e.slots {
-		e.out.Add(e.prog.slots[i].Name, v)
+	for i, v := range e.prog.slotVal {
+		e.out.Add(e.prog.slots[i].Name, e.vals[v])
 	}
-	if outRows < curLen {
+	if !dense {
 		e.out.SetSel(e.idx)
 	}
 	return &e.out, true
+}
+
+// arg resolves an operand to a kernel argument.
+func (e *Exec) arg(x operand) primitive.Arg {
+	if x.v < 0 {
+		return primitive.Arg{Val: x.c}
+	}
+	return primitive.Arg{Vec: e.vals[x.v]}
 }
 
 // buf returns output vector j of op oi resized to rows, recycled across
 // chunks. A buffer is allocated on first use with room for the larger of
 // rows and the input chunk length n, so steady-state chunks never grow it.
 func (e *Exec) buf(oi, j int, kind vector.Kind, rows, n int) *vector.Vector {
-	if e.bufs == nil {
-		e.bufs = make([][]*vector.Vector, len(e.prog.ops))
-	}
 	for len(e.bufs[oi]) <= j {
 		e.bufs[oi] = append(e.bufs[oi], nil)
 	}
@@ -291,14 +125,15 @@ func (e *Exec) buf(oi, j int, kind vector.Kind, rows, n int) *vector.Vector {
 }
 
 // runProbe matches the selected rows' keys against a join table and
-// condenses the stream to the match pairs: every current slot is gathered by
+// condenses the stream to the match pairs: every live value is gathered by
 // the matching probe rows, payload columns by the matching build rows —
 // probe-major, match lists in build order, exactly the serial nested-emit
-// order of the interpreted probe. Afterwards the selection is the identity
-// over the matches. ok=false when the fan-out exceeds the capacity guard.
+// order of the interpreted probe. Afterwards every match is selected.
+// ok=false when the fan-out exceeds the capacity guard.
 func (e *Exec) runProbe(oi int, o *op, n int) (matched int, ok bool) {
-	t := e.resolved[o.table]
-	keys := e.slots[o.a].I64()
+	pr := o.probe
+	t := e.resolved[pr.table]
+	keys := e.vals[o.a.v].I64()
 	limit := probeFanoutCap * n
 	if limit < 64 {
 		limit = 64
@@ -315,18 +150,13 @@ func (e *Exec) runProbe(oi int, o *op, n int) (matched int, ok bool) {
 		}
 	}
 	matched = len(e.probeIdx)
-	width := len(e.slots)
-	for i, v := range e.slots {
-		e.slots[i] = vector.CondenseInto(e.buf(oi, i, v.Kind(), matched, n), v, vector.Sel(e.probeIdx))
+	for j, v := range pr.live {
+		e.vals[v] = vector.CondenseInto(e.buf(oi, j, e.vals[v].Kind(), matched, n), e.vals[v], vector.Sel(e.probeIdx))
 	}
 	rows := t.Rows()
-	for j, pi := range o.payIdx {
+	for j, pi := range pr.payIdx {
 		col := rows.Col(pi)
-		e.slots = append(e.slots, vector.CondenseInto(e.buf(oi, width+j, col.Kind(), matched, n), col, vector.Sel(e.buildIdx)))
-	}
-	e.idx = e.idx[:0]
-	for i := 0; i < matched; i++ {
-		e.idx = append(e.idx, int32(i))
+		e.vals[o.dst+j] = vector.CondenseInto(e.buf(oi, len(pr.live)+j, col.Kind(), matched, n), col, vector.Sel(e.buildIdx))
 	}
 	return matched, true
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/nir"
+	"repro/internal/primitive"
 	"repro/internal/vector"
 )
 
@@ -103,6 +104,19 @@ func (e *Env) SetScalar(r nir.Reg, v vector.Value) { e.Regs[r].Scalar = v }
 
 // SetFlow stores a flow into register r.
 func (e *Env) SetFlow(r nir.Reg, f Flow) { e.Regs[r].Flow = f }
+
+// arg returns register r as a kernel operand, plus its flow when r holds one
+// (NoReg yields the zero operand).
+func (e *Env) arg(r nir.Reg) (primitive.Arg, Flow) {
+	if r == nir.NoReg {
+		return primitive.Arg{}, Flow{}
+	}
+	if e.Prog.Reg(r).Scalar {
+		return primitive.Arg{Val: e.ScalarOf(r)}, Flow{}
+	}
+	f := e.FlowOf(r)
+	return primitive.Arg{Vec: f.Vec}, f
+}
 
 // OutBuf returns register r's private output buffer resized to n elements of
 // kind k, allocating it on first use.

@@ -9,9 +9,9 @@ import (
 )
 
 // ExecInstr executes one normalized instruction against env, returning the
-// number of tuples processed (for profiling). It is the single place where
-// opcodes meet kernels; fused traces bypass it, the interpreter and trace
-// guard-failure fallbacks go through it.
+// number of tuples processed (for profiling). Element-wise instructions bind
+// their kernel through primitive.Bind, as compiled traces and the fused tier
+// do; the interpreter and trace guard-failure fallbacks go through here.
 func ExecInstr(env *Env, in *nir.Instr) (int, error) {
 	switch in.Op {
 	case nir.OpConst:
@@ -67,25 +67,24 @@ func ExecInstr(env *Env, in *nir.Instr) (int, error) {
 		env.SetScalar(in.Dst, vector.I64Value(int64(f.Len())))
 		return 1, nil
 
-	case nir.OpMapBin:
-		return execMapBin(env, in)
-
-	case nir.OpMapCmp:
-		return execMapCmp(env, in)
-
-	case nir.OpMapUn:
-		f := env.FlowOf(in.A)
-		k, ok := primitive.MapUn(in.Kind, in.Unary)
-		if !ok {
-			return 0, fmt.Errorf("interp: no kernel map.un.%v<%v>", in.Unary, in.Kind)
-		}
-		dst := env.OutBuf(in.Dst, in.Kind, f.Vec.Len())
-		k(dst, f.Vec, f.Sel, 0, primitive.Span(f.Vec, f.Sel))
-		env.SetFlow(in.Dst, Flow{Vec: dst, Sel: f.Sel})
-		return f.Len(), nil
+	case nir.OpMapBin, nir.OpMapCmp, nir.OpMapUn:
+		return execMap(env, in)
 
 	case nir.OpCast:
-		return execCast(env, in)
+		if env.Prog.Reg(in.A).Scalar {
+			v := env.ScalarOf(in.A)
+			out, ok := primitive.ScalarCast(v, in.Kind)
+			if !ok {
+				return 0, fmt.Errorf("interp: no cast %v→%v", v.Kind, in.Kind)
+			}
+			env.SetScalar(in.Dst, out)
+			return 1, nil
+		}
+		if f := env.FlowOf(in.A); f.Vec.Kind() == in.Kind {
+			env.SetFlow(in.Dst, f)
+			return f.Len(), nil
+		}
+		return execMap(env, in)
 
 	case nir.OpSelect:
 		f := env.FlowOf(in.A)
@@ -215,104 +214,21 @@ func ExecInstr(env *Env, in *nir.Instr) (int, error) {
 	return 0, fmt.Errorf("interp: unknown opcode %v", in.Op)
 }
 
-func execMapBin(env *Env, in *nir.Instr) (int, error) {
-	aScalar := env.Prog.Reg(in.A).Scalar
-	bScalar := env.Prog.Reg(in.B).Scalar
-	switch {
-	case !aScalar && !bScalar:
-		fa, fb := env.FlowOf(in.A), env.FlowOf(in.B)
-		k, ok := primitive.MapBinVV(in.Kind, in.Arith)
-		if !ok {
-			return 0, fmt.Errorf("interp: no kernel map.bin.%v<%v> vv", in.Arith, in.Kind)
-		}
-		dst := env.OutBuf(in.Dst, in.Kind, fa.Vec.Len())
-		k(dst, fa.Vec, fb.Vec, fa.Sel, 0, primitive.Span(fa.Vec, fa.Sel))
-		env.SetFlow(in.Dst, Flow{Vec: dst, Sel: fa.Sel})
-		return fa.Len(), nil
-	case !aScalar && bScalar:
-		fa := env.FlowOf(in.A)
-		k, ok := primitive.MapBinVS(in.Kind, in.Arith)
-		if !ok {
-			return 0, fmt.Errorf("interp: no kernel map.bin.%v<%v> vs", in.Arith, in.Kind)
-		}
-		dst := env.OutBuf(in.Dst, in.Kind, fa.Vec.Len())
-		k(dst, fa.Vec, env.ScalarOf(in.B), fa.Sel, 0, primitive.Span(fa.Vec, fa.Sel))
-		env.SetFlow(in.Dst, Flow{Vec: dst, Sel: fa.Sel})
-		return fa.Len(), nil
-	case aScalar && !bScalar:
-		fb := env.FlowOf(in.B)
-		k, ok := primitive.MapBinSV(in.Kind, in.Arith)
-		if !ok {
-			return 0, fmt.Errorf("interp: no kernel map.bin.%v<%v> sv", in.Arith, in.Kind)
-		}
-		dst := env.OutBuf(in.Dst, in.Kind, fb.Vec.Len())
-		k(dst, env.ScalarOf(in.A), fb.Vec, fb.Sel, 0, primitive.Span(fb.Vec, fb.Sel))
-		env.SetFlow(in.Dst, Flow{Vec: dst, Sel: fb.Sel})
-		return fb.Len(), nil
+// execMap runs an element-wise instruction through its bound kernel over
+// the selection of its flow operand (the first one, if both are flows).
+func execMap(env *Env, in *nir.Instr) (int, error) {
+	k, err := primitive.Bind(env.Prog, in)
+	if err != nil {
+		return 0, fmt.Errorf("interp: %w", err)
 	}
-	return 0, fmt.Errorf("interp: map.bin with two scalar operands should have been OpBinS")
-}
-
-func execMapCmp(env *Env, in *nir.Instr) (int, error) {
-	aScalar := env.Prog.Reg(in.A).Scalar
-	bScalar := env.Prog.Reg(in.B).Scalar
-	switch {
-	case !aScalar && !bScalar:
-		fa, fb := env.FlowOf(in.A), env.FlowOf(in.B)
-		k, ok := primitive.MapCmpVV(in.Kind, in.Cmp)
-		if !ok {
-			return 0, fmt.Errorf("interp: no kernel map.cmp.%v<%v> vv", in.Cmp, in.Kind)
-		}
-		dst := env.OutBuf(in.Dst, vector.Bool, fa.Vec.Len())
-		k(dst, fa.Vec, fb.Vec, fa.Sel, 0, primitive.Span(fa.Vec, fa.Sel))
-		env.SetFlow(in.Dst, Flow{Vec: dst, Sel: fa.Sel})
-		return fa.Len(), nil
-	case !aScalar && bScalar:
-		fa := env.FlowOf(in.A)
-		k, ok := primitive.MapCmpVS(in.Kind, in.Cmp)
-		if !ok {
-			return 0, fmt.Errorf("interp: no kernel map.cmp.%v<%v> vs", in.Cmp, in.Kind)
-		}
-		dst := env.OutBuf(in.Dst, vector.Bool, fa.Vec.Len())
-		k(dst, fa.Vec, env.ScalarOf(in.B), fa.Sel, 0, primitive.Span(fa.Vec, fa.Sel))
-		env.SetFlow(in.Dst, Flow{Vec: dst, Sel: fa.Sel})
-		return fa.Len(), nil
-	case aScalar && !bScalar:
-		fb := env.FlowOf(in.B)
-		k, ok := primitive.MapCmpSV(in.Kind, in.Cmp)
-		if !ok {
-			return 0, fmt.Errorf("interp: no kernel map.cmp.%v<%v> sv", in.Cmp, in.Kind)
-		}
-		dst := env.OutBuf(in.Dst, vector.Bool, fb.Vec.Len())
-		k(dst, env.ScalarOf(in.A), fb.Vec, fb.Sel, 0, primitive.Span(fb.Vec, fb.Sel))
-		env.SetFlow(in.Dst, Flow{Vec: dst, Sel: fb.Sel})
-		return fb.Len(), nil
+	a, fa := env.arg(in.A)
+	b, fb := env.arg(in.B)
+	f := fa
+	if f.Vec == nil {
+		f = fb
 	}
-	return 0, fmt.Errorf("interp: map.cmp with two scalar operands should have been OpBinS")
-}
-
-func execCast(env *Env, in *nir.Instr) (int, error) {
-	if env.Prog.Reg(in.A).Scalar {
-		v := env.ScalarOf(in.A)
-		out, ok := primitive.ScalarCast(v, in.Kind)
-		if !ok {
-			return 0, fmt.Errorf("interp: no cast %v→%v", v.Kind, in.Kind)
-		}
-		env.SetScalar(in.Dst, out)
-		return 1, nil
-	}
-	f := env.FlowOf(in.A)
-	from := f.Vec.Kind()
-	if from == in.Kind {
-		env.SetFlow(in.Dst, f)
-		return f.Len(), nil
-	}
-	k, ok := primitive.Cast(from, in.Kind)
-	if !ok {
-		return 0, fmt.Errorf("interp: no cast kernel %v→%v", from, in.Kind)
-	}
-	dst := env.OutBuf(in.Dst, in.Kind, f.Vec.Len())
-	k(dst, f.Vec, f.Sel, 0, primitive.Span(f.Vec, f.Sel))
+	dst := env.OutBuf(in.Dst, k.Out(), f.Vec.Len())
+	k.Run(dst, a, b, f.Sel, 0, primitive.Span(f.Vec, f.Sel))
 	env.SetFlow(in.Dst, Flow{Vec: dst, Sel: f.Sel})
 	return f.Len(), nil
 }

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -558,5 +559,42 @@ write w 0 b
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFilterConstCoercion: a filter comparing against a constant must keep
+// the rows the general path keeps — the constant is never truncated to an
+// integer flow's kind or wrapped into its range. Each predicate is checked
+// against its spelling as a conjunction with an always-true comparison.
+func TestFilterConstCoercion(t *testing.T) {
+	run := func(data *vector.Vector, pred string) []int64 {
+		t.Helper()
+		out := vector.New(vector.I64, 0, 8)
+		src := fmt.Sprintf("let xs = read 0 data 8\nlet f = filter %s xs\nwrite out 0 (condense (map (\\x -> cast<i64>(x)) f))\n", pred)
+		runProgram(t, src, map[string]*vector.Vector{"data": data, "out": out})
+		return append([]int64{}, out.I64()...)
+	}
+	i64 := vector.FromI64([]int64{8, 9, 10, 11, 12, -10, -11})
+	cases := []struct {
+		data *vector.Vector
+		cmp  string
+		want []int64
+	}{
+		{i64, "x < 10.5", []int64{8, 9, 10, -10, -11}},
+		{i64, "x >= 10.5", []int64{11, 12}},
+		{i64, "x > -10.5", []int64{8, 9, 10, 11, 12, -10}},
+		{i64, "x == 10.5", []int64{}},
+		{i64, "10.5 > x", []int64{8, 9, 10, -10, -11}},
+		{i64, "x < 10", []int64{8, 9, -10, -11}},
+		{vector.FromI32([]int32{1, 2, 3}), "x < 4294967297", []int64{1, 2, 3}},
+		{vector.FromI32([]int32{1, 2, 3}), "x > -4294967297", []int64{1, 2, 3}},
+		{vector.FromF64([]float64{1.5, 2.5, 3}), "x < 3", []int64{1, 2}},
+	}
+	for _, c := range cases {
+		fast := run(c.data, fmt.Sprintf(`(\x -> %s)`, c.cmp))
+		general := run(c.data, fmt.Sprintf(`(\x -> (%s) || (x != x))`, c.cmp))
+		if fmt.Sprint(fast) != fmt.Sprint(c.want) || fmt.Sprint(general) != fmt.Sprint(c.want) {
+			t.Errorf("%v filter %s: fast %v, general %v, want %v", c.data.Kind(), c.cmp, fast, general, c.want)
+		}
 	}
 }

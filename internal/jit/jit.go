@@ -9,9 +9,9 @@
 //     windows, so each window of every intermediate stays L1-resident while
 //     all member operations consume it (one pass over the data instead of
 //     one pass per operation);
-//   - adjacent constant-operand map pairs collapse into a single fused
-//     kernel ((a[i] op1 c1) op2 c2), halving memory traffic for constant
-//     chains — the loop fusion a real JIT gets from its optimizer;
+//   - adjacent constant-operand map pairs run as one pair kernel
+//     ((a[i] op1 c1) op2 c2) that keeps the intermediate in its
+//     destination, so a constant chain needs no buffer of its own;
 //   - per-operation profiling disappears; the trace is measured as a whole,
 //     which is what the VM's micro-adaptive choice needs;
 //   - an optional guard captures the "situation" the trace is specialized
@@ -236,16 +236,19 @@ func compileSingle(in *nir.Instr) (compiledOp, error) {
 	return nil, fmt.Errorf("jit: operation %v is not compilable", in.Op)
 }
 
-// pass is one windowed kernel application inside a fused run. All operand
-// buffers are resolved per chunk (resolve), then the kernel runs once per
-// window (exec).
+// pass is one windowed kernel application inside a fused run: either a
+// bound element-wise kernel over operands a and b, or a fused constant pair
+// (pair non-nil) computing (a op1 s1) op2 s2 with s1, s2 in a2, b.
 type pass struct {
 	dst  nir.Reg
 	kind vector.Kind
 	// covers lists the member instructions this pass implements (2 for a
 	// fused constant pair, else 1).
 	covers []*nir.Instr
-	exec   func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error
+	k      primitive.Kernel
+	pair   primitive.PairFunc
+	a, a2  nir.Reg
+	b      nir.Reg
 }
 
 // runCompiled is the compiled form of an element-wise run: a list of passes
@@ -307,36 +310,42 @@ func compileRun(prog *nir.Program, run []*nir.Instr, tileSize int) (compiledOp, 
 				a.Kind == b.Kind &&
 				!usedOutside[a.Dst] && useCount[a.Dst] == 1 {
 				if k, ok := primitive.MapPair(a.Kind, a.Arith, b.Arith); ok {
-					a2, b2 := a, b
 					rc.passes = append(rc.passes, pass{
 						dst: b.Dst, kind: b.Kind, covers: []*nir.Instr{a, b},
-						exec: func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-							k(dst, operand(env, bufs, a2.A), env.ScalarOf(a2.B), env.ScalarOf(b2.B), sel, lo, hi)
-							return nil
-						},
+						pair: k, a: a.A, a2: a.B, b: b.B,
 					})
 					i += 2
 					continue
 				}
 			}
 		}
-		p, err := compilePass(prog, run[i])
+		in := run[i]
+		k, err := primitive.Bind(prog, in)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("jit: %w", err)
 		}
-		rc.passes = append(rc.passes, p)
+		rc.passes = append(rc.passes, pass{
+			dst: in.Dst, kind: k.Out(), covers: []*nir.Instr{in},
+			k: k, a: in.A, b: in.B,
+		})
 		i++
 	}
 	return rc.run, len(rc.passes), nil
 }
 
-// operand resolves a register to its buffer: an in-run output or an outside
-// flow.
-func operand(env *interp.Env, bufs map[nir.Reg]*vector.Vector, r nir.Reg) *vector.Vector {
-	if v, ok := bufs[r]; ok {
-		return v
+// operand resolves a register to a kernel operand: a scalar, an in-run
+// output, or an outside flow.
+func (rc *runCompiled) operand(env *interp.Env, bufs map[nir.Reg]*vector.Vector, r nir.Reg) primitive.Arg {
+	if r == nir.NoReg {
+		return primitive.Arg{}
 	}
-	return env.FlowOf(r).Vec
+	if rc.prog.Reg(r).Scalar {
+		return primitive.Arg{Val: env.ScalarOf(r)}
+	}
+	if v, ok := bufs[r]; ok {
+		return primitive.Arg{Vec: v}
+	}
+	return primitive.Arg{Vec: env.FlowOf(r).Vec}
 }
 
 func (rc *runCompiled) run(env *interp.Env) error {
@@ -378,10 +387,14 @@ func (rc *runCompiled) run(env *interp.Env) error {
 		if hi > span {
 			hi = span
 		}
-		for _, p := range rc.passes {
-			if err := p.exec(env, bufs[p.dst], bufs, sel, lo, hi); err != nil {
-				return err
+		for i := range rc.passes {
+			p := &rc.passes[i]
+			a := rc.operand(env, bufs, p.a)
+			if p.pair != nil {
+				p.pair(bufs[p.dst], a.Vec, env.ScalarOf(p.a2), env.ScalarOf(p.b), sel, lo, hi)
+				continue
 			}
+			p.k.Run(bufs[p.dst], a, rc.operand(env, bufs, p.b), sel, lo, hi)
 		}
 		if span == 0 {
 			break
@@ -393,111 +406,4 @@ func (rc *runCompiled) run(env *interp.Env) error {
 	// Mark covered intermediate dsts (fused-away) as aliases of their
 	// consumer? They are dead by construction; leave them unset.
 	return nil
-}
-
-// compilePass resolves kernel and operand plumbing for one member.
-func compilePass(prog *nir.Program, in *nir.Instr) (pass, error) {
-	outKind := in.Kind
-	if in.Op == nir.OpMapCmp {
-		outKind = vector.Bool
-	}
-	p := pass{dst: in.Dst, kind: outKind, covers: []*nir.Instr{in}}
-	in2 := in
-	switch in.Op {
-	case nir.OpMapBin, nir.OpMapCmp:
-		aScalar := prog.Reg(in.A).Scalar
-		bScalar := prog.Reg(in.B).Scalar
-		switch {
-		case !aScalar && !bScalar:
-			if in.Op == nir.OpMapBin {
-				k, ok := primitive.MapBinVV(in.Kind, in.Arith)
-				if !ok {
-					return p, fmt.Errorf("jit: no kernel map.bin.%v<%v> vv", in.Arith, in.Kind)
-				}
-				p.exec = func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-					k(dst, operand(env, bufs, in2.A), operand(env, bufs, in2.B), sel, lo, hi)
-					return nil
-				}
-				return p, nil
-			}
-			k, ok := primitive.MapCmpVV(in.Kind, in.Cmp)
-			if !ok {
-				return p, fmt.Errorf("jit: no kernel map.cmp.%v<%v> vv", in.Cmp, in.Kind)
-			}
-			p.exec = func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-				k(dst, operand(env, bufs, in2.A), operand(env, bufs, in2.B), sel, lo, hi)
-				return nil
-			}
-			return p, nil
-
-		case !aScalar && bScalar:
-			if in.Op == nir.OpMapBin {
-				k, ok := primitive.MapBinVS(in.Kind, in.Arith)
-				if !ok {
-					return p, fmt.Errorf("jit: no kernel map.bin.%v<%v> vs", in.Arith, in.Kind)
-				}
-				p.exec = func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-					k(dst, operand(env, bufs, in2.A), env.ScalarOf(in2.B), sel, lo, hi)
-					return nil
-				}
-				return p, nil
-			}
-			k, ok := primitive.MapCmpVS(in.Kind, in.Cmp)
-			if !ok {
-				return p, fmt.Errorf("jit: no kernel map.cmp.%v<%v> vs", in.Cmp, in.Kind)
-			}
-			p.exec = func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-				k(dst, operand(env, bufs, in2.A), env.ScalarOf(in2.B), sel, lo, hi)
-				return nil
-			}
-			return p, nil
-
-		case aScalar && !bScalar:
-			if in.Op == nir.OpMapBin {
-				k, ok := primitive.MapBinSV(in.Kind, in.Arith)
-				if !ok {
-					return p, fmt.Errorf("jit: no kernel map.bin.%v<%v> sv", in.Arith, in.Kind)
-				}
-				p.exec = func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-					k(dst, env.ScalarOf(in2.A), operand(env, bufs, in2.B), sel, lo, hi)
-					return nil
-				}
-				return p, nil
-			}
-			k, ok := primitive.MapCmpSV(in.Kind, in.Cmp)
-			if !ok {
-				return p, fmt.Errorf("jit: no kernel map.cmp.%v<%v> sv", in.Cmp, in.Kind)
-			}
-			p.exec = func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-				k(dst, env.ScalarOf(in2.A), operand(env, bufs, in2.B), sel, lo, hi)
-				return nil
-			}
-			return p, nil
-		}
-		return p, fmt.Errorf("jit: map with two scalar operands")
-
-	case nir.OpMapUn:
-		k, ok := primitive.MapUn(in.Kind, in.Unary)
-		if !ok {
-			return p, fmt.Errorf("jit: no kernel map.un.%v<%v>", in.Unary, in.Kind)
-		}
-		p.exec = func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-			k(dst, operand(env, bufs, in2.A), sel, lo, hi)
-			return nil
-		}
-		return p, nil
-
-	case nir.OpCast:
-		p.exec = func(env *interp.Env, dst *vector.Vector, bufs map[nir.Reg]*vector.Vector, sel vector.Sel, lo, hi int) error {
-			src := operand(env, bufs, in2.A)
-			k, ok := primitive.Cast(src.Kind(), in2.Kind)
-			if !ok {
-				return fmt.Errorf("jit: no cast kernel %v→%v", src.Kind(), in2.Kind)
-			}
-			k(dst, src, sel, lo, hi)
-			return nil
-		}
-		return p, nil
-	}
-	return p, fmt.Errorf("jit: %v is not element-wise", in.Op)
 }

@@ -262,3 +262,24 @@ func TestNormalizeRejectsUncheckedProgram(t *testing.T) {
 		t.Fatal("unchecked program must be rejected")
 	}
 }
+
+func TestConjunctionChainsSelections(t *testing.T) {
+	np := normalize(t, `
+let xs = read 0 d 16
+let f = filter (\x -> (x >= 3) && ((x < 9) && (x % 2 == 0))) xs
+write o 0 (condense f)
+`, i64Kinds("d", "o"))
+	if countOps(np, OpSelectCmp) != 2 || countOps(np, OpSelect) != 1 {
+		t.Fatalf("want two chained select.cmp and one select:\n%s", np)
+	}
+	var prev Reg = NoReg
+	np.Walk(func(in *Instr) {
+		if in.Op != OpSelectCmp && in.Op != OpSelect {
+			return
+		}
+		if prev != NoReg && in.A != prev {
+			t.Fatalf("%s does not narrow the previous selection r%d:\n%s", in, prev, np)
+		}
+		prev = in.Dst
+	})
+}

@@ -19,8 +19,9 @@ const maxInlineDepth = 32
 // instructions for which pre-compiled vectorized kernels exist. It also
 // applies two local rewrites:
 //
-//   - comparison-against-scalar predicates inside filter fuse into the
-//     dedicated OpSelectCmp selection primitive;
+//   - comparison-against-constant predicates inside filter fuse into the
+//     dedicated OpSelectCmp selection primitive, and a conjunction of
+//     predicates narrows the selection one conjunct at a time;
 //   - integer constants narrow to the kind of the vector they combine with
 //     when the value fits, avoiding spurious widening casts (the seed of the
 //     compact-data-types refinement of [12]).
@@ -400,15 +401,19 @@ func (n *normalizer) expr(out *[]Node, e dsl.Expr) (Reg, error) {
 		var uop UnaryOp
 		kind := ai.Kind
 		switch e.Op {
-		case dsl.UnNeg:
+		case dsl.UnNeg, dsl.UnAbs:
 			uop = UNeg
+			if e.Op == dsl.UnAbs {
+				uop = UAbs
+			}
+			if !kind.IsNumeric() {
+				return NoReg, n.errf(e.P, "%s requires a numeric operand", uop)
+			}
 		case dsl.UnNot:
 			uop = UNot
 			if kind != vector.Bool {
 				return NoReg, n.errf(e.P, "! requires a boolean operand")
 			}
-		case dsl.UnAbs:
-			uop = UAbs
 		case dsl.UnSqrt:
 			uop = USqrt
 			if kind != vector.F64 {
@@ -737,16 +742,13 @@ func (n *normalizer) inlineCall(out *[]Node, e *dsl.CallExpr) (Reg, error) {
 	return n.applyLambda(out, &dsl.Lambda{Params: f.Params, Body: f.Body}, args)
 }
 
-// filterExpr normalizes filter p a. The fast path recognizes predicates of
-// the form (\x -> x <cmp> scalar) and emits the fused OpSelectCmp selection
-// primitive; everything else goes through a bool map plus OpSelect.
+// filterExpr normalizes filter p a; see filterPred.
 func (n *normalizer) filterExpr(out *[]Node, e *dsl.FilterExpr) (Reg, error) {
 	arg, err := n.expr(out, e.Arg)
 	if err != nil {
 		return NoReg, err
 	}
-	ai := n.out.Regs[arg]
-	if ai.Scalar {
+	if n.out.Regs[arg].Scalar {
 		return NoReg, n.errf(e.P, "filter requires a flow argument")
 	}
 	pred, err := n.resolveLambda(e.Pred)
@@ -756,33 +758,56 @@ func (n *normalizer) filterExpr(out *[]Node, e *dsl.FilterExpr) (Reg, error) {
 	if len(pred.Params) != 1 {
 		return NoReg, n.errf(e.P, "filter predicate must be unary")
 	}
+	return n.filterPred(out, e.P, arg, pred)
+}
 
-	// Fused path: x <cmp> const  or  const <cmp> x.
-	if bin, ok := pred.Body.(*dsl.Bin); ok {
+// filterPred narrows flow arg to the rows satisfying the unary predicate p.
+// A top-level conjunction of two conditions on the parameter narrows by each
+// conjunct in turn: the same rows as the conjunction's mask, with the later
+// conjunct evaluated only over the survivors of the earlier one. A
+// comparison of the parameter with a constant (either side) becomes the
+// fused OpSelectCmp when the constant is exact in the flow's kind;
+// everything else goes through a bool map plus OpSelect.
+func (n *normalizer) filterPred(out *[]Node, pos dsl.Position, arg Reg, p *dsl.Lambda) (Reg, error) {
+	if bin, ok := p.Body.(*dsl.Bin); ok {
+		if bin.Op == dsl.OpAnd && mentions(bin.L, p.Params[0]) && mentions(bin.R, p.Params[0]) {
+			l, r := *p, *p
+			l.Body, r.Body = bin.L, bin.R
+			sel, err := n.filterPred(out, pos, arg, &l)
+			if err != nil {
+				return NoReg, err
+			}
+			return n.filterPred(out, pos, sel, &r)
+		}
 		if cop, isCmp := cmpFromDSL[bin.Op]; isCmp {
-			if vr, ok := bin.L.(*dsl.VarRef); ok && vr.Name == pred.Params[0] {
-				if c, ok := bin.R.(*dsl.Const); ok {
-					return n.emitSelectCmp(out, arg, cop, c.Val)
+			isParam := func(e dsl.Expr) bool {
+				vr, ok := e.(*dsl.VarRef)
+				return ok && vr.Name == p.Params[0]
+			}
+			if c, ok := bin.R.(*dsl.Const); ok && isParam(bin.L) {
+				if dst, ok := n.emitSelectCmp(out, arg, cop, c.Val); ok {
+					return dst, nil
 				}
 			}
-			if vr, ok := bin.R.(*dsl.VarRef); ok && vr.Name == pred.Params[0] {
-				if c, ok := bin.L.(*dsl.Const); ok {
-					// const <cmp> x  ≡  x <swapped-cmp> const
-					return n.emitSelectCmp(out, arg, swapCmp(cop), c.Val)
+			if c, ok := bin.L.(*dsl.Const); ok && isParam(bin.R) {
+				// const <cmp> x  ≡  x <swapped-cmp> const
+				if dst, ok := n.emitSelectCmp(out, arg, swapCmp(cop), c.Val); ok {
+					return dst, nil
 				}
 			}
 		}
 	}
 
 	// General path: evaluate predicate into a bool vector, then select.
-	boolReg, err := n.applyLambda(out, pred, []Reg{arg})
+	boolReg, err := n.applyLambda(out, p, []Reg{arg})
 	if err != nil {
 		return NoReg, err
 	}
 	bi := n.out.Regs[boolReg]
 	if bi.Scalar || bi.Kind != vector.Bool {
-		return NoReg, n.errf(e.P, "filter predicate must produce a boolean flow, got %s", bi)
+		return NoReg, n.errf(pos, "filter predicate must produce a boolean flow, got %s", bi)
 	}
+	ai := n.out.Regs[arg]
 	dst := n.newReg(ai.Kind, false, "")
 	n.emit(out, &Instr{Op: OpSelect, Dst: dst, A: arg, B: boolReg, C: NoReg, Kind: ai.Kind})
 	return dst, nil
@@ -803,33 +828,34 @@ func swapCmp(op CmpOp) CmpOp {
 	return op // eq, ne symmetric
 }
 
-func (n *normalizer) emitSelectCmp(out *[]Node, arg Reg, op CmpOp, c vector.Value) (Reg, error) {
-	ai := n.out.Regs[arg]
-	if c.Kind.IsInteger() && ai.Kind.IsInteger() && c.Kind != ai.Kind {
-		lo, hi := vector.IntRange(ai.Kind)
-		if c.I >= lo && c.I <= hi {
-			c.Kind = ai.Kind
+// emitSelectCmp emits the fused selection arg <op> c when c is exact in the
+// flow's kind, so the comparison is the one the general path makes: an
+// integer constant within an integer flow's range (the general path narrows
+// it), or any numeric constant against an f64 flow (the general path widens
+// it). Otherwise ok is false and the caller takes the general path, which
+// compares in the wider kind — an i64 flow against 10.5 compares in f64, and
+// an i32 flow against 1<<32 in i64.
+func (n *normalizer) emitSelectCmp(out *[]Node, arg Reg, op CmpOp, c vector.Value) (Reg, bool) {
+	kind := n.out.Regs[arg].Kind
+	switch {
+	case !kind.IsNumeric() || !c.Kind.IsNumeric():
+		return NoReg, false
+	case kind == vector.F64:
+		if c.Kind != vector.F64 {
+			c = vector.F64Value(float64(c.I))
 		}
-	}
-	if c.Kind != ai.Kind {
-		if !(c.Kind.IsNumeric() && ai.Kind.IsNumeric()) {
-			return NoReg, fmt.Errorf("nir: filter constant kind %s incompatible with flow kind %s", c.Kind, ai.Kind)
+	case c.Kind == vector.F64:
+		return NoReg, false
+	default:
+		if lo, hi := vector.IntRange(kind); c.I < lo || c.I > hi {
+			return NoReg, false
 		}
-		// Convert constant to the flow kind.
-		if ai.Kind == vector.F64 {
-			if c.Kind != vector.F64 {
-				c = vector.F64Value(float64(c.I))
-			}
-		} else if c.Kind == vector.F64 {
-			c = vector.IntValue(ai.Kind, int64(c.F))
-		} else {
-			c = vector.IntValue(ai.Kind, c.I)
-		}
+		c.Kind = kind
 	}
 	cr := n.constReg(out, c)
-	dst := n.newReg(ai.Kind, false, "")
-	n.emit(out, &Instr{Op: OpSelectCmp, Dst: dst, A: arg, B: cr, C: NoReg, Cmp: op, Kind: ai.Kind})
-	return dst, nil
+	dst := n.newReg(kind, false, "")
+	n.emit(out, &Instr{Op: OpSelectCmp, Dst: dst, A: arg, B: cr, C: NoReg, Cmp: op, Kind: kind})
+	return dst, true
 }
 
 // foldExpr normalizes fold f init a. The reduction function must decompose

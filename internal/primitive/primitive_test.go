@@ -1,6 +1,8 @@
 package primitive
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -164,4 +166,102 @@ func TestConflictOfPanicsOnUnknown(t *testing.T) {
 		}
 	}()
 	ConflictOf("frobnicate")
+}
+
+// TestSelectIntoAliasing: the in-place selection kernels must narrow a
+// selection into its own storage — dst aliasing sel — with the result the
+// allocating forms return, for every kind and comparison.
+func TestSelectIntoAliasing(t *testing.T) {
+	for key, into := range selCmpInto {
+		a := fromValues(key.K, edges(key.K))
+		var every vector.Sel
+		for i := 0; i < a.Len(); i += 2 {
+			every = append(every, int32(i))
+		}
+		alloc, _ := SelectCmp(key.K, key.Op)
+		for _, s := range edges(key.K) {
+			for _, sel := range []vector.Sel{nil, every} {
+				want := alloc(a, s, sel, 0, Span(a, sel))
+				buf, src := aliased(sel, a.Len())
+				got := into(buf, a, s, src, 0, Span(a, sel))
+				if !slices.Equal(got, want) {
+					t.Fatalf("%v %v s=%v sel=%v: got %v, want %v", key.K, key.Op, s, sel, got, want)
+				}
+				if len(got) > 0 && &got[0] != &buf[:1][0] {
+					t.Fatalf("%v %v: result does not reuse dst", key.K, key.Op)
+				}
+			}
+		}
+	}
+	mask := vector.FromBool([]bool{true, false, true, true, false, false, true, true, false})
+	for _, sel := range []vector.Sel{nil, {0, 1, 3, 4, 7, 8}} {
+		want := SelectFromBool(mask, sel)
+		buf, src := aliased(sel, mask.Len())
+		if got := SelectFromBoolInto(buf, mask, src); !slices.Equal(got, want) || &got[0] != &buf[:1][0] {
+			t.Fatalf("SelectFromBoolInto sel=%v: got %v, want %v", sel, got, want)
+		}
+	}
+}
+
+// aliased copies sel into a buffer of capacity n and returns the buffer as
+// the destination and as the source selection (nil when sel is nil).
+func aliased(sel vector.Sel, n int) (dst, src vector.Sel) {
+	dst = append(make(vector.Sel, 0, n), sel...)
+	if sel != nil {
+		src = dst
+	}
+	return dst, src
+}
+
+// TestBind: every operand shape of every element-wise opcode binds to the
+// kernel that computes it, and instructions without one are rejected.
+func TestBind(t *testing.T) {
+	prog := &nir.Program{Regs: []nir.RegInfo{
+		{Kind: vector.I64}, {Kind: vector.I64},
+		{Kind: vector.I64, Scalar: true}, {Kind: vector.I64, Scalar: true},
+		{Kind: vector.F64},
+	}}
+	a, b := Arg{Vec: vector.FromI64([]int64{1, 2, 3})}, Arg{Vec: vector.FromI64([]int64{10, 2, 1})}
+	s := Arg{Val: vector.I64Value(2)}
+	bin := func(op nir.OpCode, x, y nir.Reg) nir.Instr {
+		return nir.Instr{Op: op, A: x, B: y, Arith: nir.ASub, Cmp: nir.CLt, Kind: vector.I64}
+	}
+	for _, c := range []struct {
+		in   nir.Instr
+		a, b Arg
+		want string
+	}{
+		{bin(nir.OpMapBin, 0, 1), a, b, "[-9 0 2]"},
+		{bin(nir.OpMapBin, 0, 2), a, s, "[-1 0 1]"},
+		{bin(nir.OpMapBin, 2, 1), s, b, "[-8 0 1]"},
+		{bin(nir.OpMapCmp, 0, 1), a, b, "[true false false]"},
+		{bin(nir.OpMapCmp, 0, 2), a, s, "[true false false]"},
+		{bin(nir.OpMapCmp, 2, 1), s, b, "[true false false]"},
+		{nir.Instr{Op: nir.OpMapUn, A: 0, B: nir.NoReg, Unary: nir.UNeg, Kind: vector.I64}, a, Arg{}, "[-1 -2 -3]"},
+		{nir.Instr{Op: nir.OpCast, A: 0, B: nir.NoReg, Kind: vector.F64}, a, Arg{}, "[1 2 3]"},
+	} {
+		k, err := Bind(prog, &c.in)
+		if err != nil {
+			t.Fatalf("%s: %v", &c.in, err)
+		}
+		dst := vector.NewLen(k.Out(), 3)
+		k.Run(dst, c.a, c.b, nil, 0, 3)
+		got := make([]string, dst.Len())
+		for i := range got {
+			got[i] = dst.Get(i).String()
+		}
+		if fmt.Sprint(got) != c.want {
+			t.Errorf("%s: got %v, want %s", &c.in, got, c.want)
+		}
+	}
+	for _, in := range []nir.Instr{
+		bin(nir.OpMapBin, 2, 3), // two scalars: a bin.s, not a map
+		{Op: nir.OpMapBin, A: 4, B: 4, Arith: nir.AMod, Kind: vector.F64},
+		{Op: nir.OpCast, A: 2, B: nir.NoReg, Kind: vector.F64}, // a scalar cast
+		{Op: nir.OpFold, A: 2, B: 0, Arith: nir.AAdd, Kind: vector.I64},
+	} {
+		if _, err := Bind(prog, &in); err == nil {
+			t.Errorf("%s: bound, want an error", &in)
+		}
+	}
 }

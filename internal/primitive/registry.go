@@ -45,11 +45,16 @@ type (
 	UnFunc func(dst, a *vector.Vector, sel vector.Sel, lo, hi int)
 	// SelCmpFunc returns the sub-selection of the window where a[i] cmp s.
 	SelCmpFunc func(a *vector.Vector, b vector.Value, sel vector.Sel, lo, hi int) vector.Sel
+	// SelCmpIntoFunc writes the sub-selection of the window where a[i] cmp s
+	// into dst[:0] and returns it. dst may alias sel: the writes trail the
+	// reads, so a selection narrows in place without allocating.
+	SelCmpIntoFunc func(dst vector.Sel, a *vector.Vector, b vector.Value, sel vector.Sel, lo, hi int) vector.Sel
 	// FoldFunc reduces the windowed elements of a with a fixed operator.
 	FoldFunc func(init vector.Value, a *vector.Vector, sel vector.Sel, lo, hi int) vector.Value
 	// CastFunc converts elements between kinds.
 	CastFunc func(dst, a *vector.Vector, sel vector.Sel, lo, hi int)
-	// PairFunc computes dst[i] = (a[i] op1 s1) op2 s2 in one pass (fused).
+	// PairFunc computes dst[i] = (a[i] op1 s1) op2 s2 without a buffer for
+	// the intermediate.
 	PairFunc func(dst, a *vector.Vector, b1, b2 vector.Value, sel vector.Sel, lo, hi int)
 )
 
@@ -95,10 +100,98 @@ var (
 	mapCmpSV    = map[cmpKey]BinSVFunc{}
 	mapUn       = map[unKey]UnFunc{}
 	selCmp      = map[cmpKey]SelCmpFunc{}
+	selCmpInto  = map[cmpKey]SelCmpIntoFunc{}
 	foldKernels = map[binKey]FoldFunc{}
 	castKernels = map[castKey]CastFunc{}
 	pairKernels = map[pairKey]PairFunc{}
 )
+
+// Arg is one operand of a bound kernel: Vec for an operand read from a
+// flow, Val for one read from a scalar register.
+type Arg struct {
+	Vec *vector.Vector
+	Val vector.Value
+}
+
+// Kernel is an element-wise instruction bound to the kernel for its operand
+// shape. It is a plain value, so binding allocates nothing: the interpreter
+// binds per execution, compiled code once per program.
+type Kernel struct {
+	out vector.Kind
+	vv  BinVVFunc
+	vs  BinVSFunc
+	sv  BinSVFunc
+	un  UnFunc
+}
+
+// Bind binds an element-wise instruction of prog — map.bin, map.cmp, map.un,
+// or a cast of a flow to another kind — to its kernel. The operand shapes
+// (vector or scalar) and a cast's source kind come from prog's register
+// table. This is the one place where instructions meet the map and cast
+// kernel tables.
+func Bind(prog *nir.Program, in *nir.Instr) (Kernel, error) {
+	k := Kernel{out: in.Kind}
+	ok := false
+	switch in.Op {
+	case nir.OpMapBin, nir.OpMapCmp:
+		aScalar, bScalar := prog.Reg(in.A).Scalar, prog.Reg(in.B).Scalar
+		if aScalar && bScalar {
+			return Kernel{}, fmt.Errorf("primitive: %s has two scalar operands", in)
+		}
+		if in.Op == nir.OpMapBin {
+			key := binKey{in.Kind, in.Arith}
+			switch {
+			case aScalar:
+				k.sv, ok = mapBinSV[key]
+			case bScalar:
+				k.vs, ok = mapBinVS[key]
+			default:
+				k.vv, ok = mapBinVV[key]
+			}
+			break
+		}
+		k.out = vector.Bool
+		key := cmpKey{in.Kind, in.Cmp}
+		switch {
+		case aScalar:
+			k.sv, ok = mapCmpSV[key]
+		case bScalar:
+			k.vs, ok = mapCmpVS[key]
+		default:
+			k.vv, ok = mapCmpVV[key]
+		}
+	case nir.OpMapUn:
+		k.un, ok = mapUn[unKey{in.Kind, in.Unary}]
+	case nir.OpCast:
+		if a := prog.Reg(in.A); !a.Scalar {
+			var f CastFunc
+			f, ok = castKernels[castKey{a.Kind, in.Kind}]
+			k.un = UnFunc(f)
+		}
+	}
+	if !ok {
+		return Kernel{}, fmt.Errorf("primitive: no kernel for %s", in)
+	}
+	return k, nil
+}
+
+// Out returns the element kind the kernel writes.
+func (k Kernel) Out() vector.Kind { return k.out }
+
+// Run applies the kernel to the [lo, hi) window, writing dst positionally.
+// a and b are the instruction's operands; b is ignored by unary kernels.
+func (k Kernel) Run(dst *vector.Vector, a, b Arg, sel vector.Sel, lo, hi int) {
+	switch {
+	case k.vv != nil:
+		k.vv(dst, a.Vec, b.Vec, sel, lo, hi)
+	case k.vs != nil:
+		k.vs(dst, a.Vec, b.Val, sel, lo, hi)
+	case k.sv != nil:
+		k.sv(dst, a.Val, b.Vec, sel, lo, hi)
+	default:
+		k.un(dst, a.Vec, sel, lo, hi)
+	}
+}
 
 // MapBinVV looks up the vector⊗vector arithmetic kernel.
 func MapBinVV(k vector.Kind, op nir.ArithOp) (BinVVFunc, bool) {
@@ -143,8 +236,15 @@ func MapUn(k vector.Kind, op nir.UnaryOp) (UnFunc, bool) {
 }
 
 // SelectCmp looks up the fused selection kernel (filter against a scalar).
+// It returns a freshly allocated selection; see SelectCmpInto.
 func SelectCmp(k vector.Kind, op nir.CmpOp) (SelCmpFunc, bool) {
 	f, ok := selCmp[cmpKey{k, op}]
+	return f, ok
+}
+
+// SelectCmpInto looks up the in-place form of the fused selection kernel.
+func SelectCmpInto(k vector.Kind, op nir.CmpOp) (SelCmpIntoFunc, bool) {
+	f, ok := selCmpInto[cmpKey{k, op}]
 	return f, ok
 }
 
@@ -160,7 +260,7 @@ func Cast(from, to vector.Kind) (CastFunc, bool) {
 	return f, ok
 }
 
-// MapPair looks up the fused two-op constant-chain kernel computing
+// MapPair looks up the two-op constant-chain kernel computing
 // (a[i] op1 s1) op2 s2.
 func MapPair(k vector.Kind, op1, op2 nir.ArithOp) (PairFunc, bool) {
 	f, ok := pairKernels[pairKey{k, op1, op2}]
@@ -180,10 +280,16 @@ func Count() int {
 // Hand-written kernels for the memory skeletons and selection plumbing.
 
 // SelectFromBool narrows sel to the rows where the (positionally aligned)
-// bool vector is true.
+// bool vector is true, into a freshly allocated selection.
 func SelectFromBool(mask *vector.Vector, sel vector.Sel) vector.Sel {
+	return SelectFromBoolInto(make(vector.Sel, 0, sel.Count(mask.Len())), mask, sel)
+}
+
+// SelectFromBoolInto is SelectFromBool writing into dst[:0]. dst may alias
+// sel: the writes trail the reads.
+func SelectFromBoolInto(dst vector.Sel, mask *vector.Vector, sel vector.Sel) vector.Sel {
 	m := mask.Bool()
-	out := make(vector.Sel, 0, sel.Count(len(m)))
+	out := dst[:0]
 	if sel == nil {
 		for i := range m {
 			if m[i] {
