@@ -350,6 +350,21 @@ func TestExecAllSnippets(t *testing.T) {
 		comp(`(\k -> k * 3 + 7)`, vector.F64, "k"),
 		comp(`(\k x -> -(k % 7) * x / 3)`, vector.F64, "k", "x"),
 		comp(`(\x -> sqrt(abs(x)) - 1)`, vector.F64, "x"),
+		// A mask filter that empties the chunk, then a filter reading a
+		// bool column directly: the empty selection must stay empty.
+		{
+			name: "bool compute, emptying || filter, bool filter",
+			stages: []fused.Stage{
+				{Kind: fused.StageCompute, Lambda: `(\k -> k < 50)`, Out: "c", OutKind: vector.Bool, Cols: []string{"k"}},
+				{Kind: fused.StageFilter, Lambda: `(\k -> (k < 0) || (k > 10000))`, Col: "k"},
+				{Kind: fused.StageFilter, Lambda: `(\c -> c)`, Col: "c"},
+			},
+			chain: func(op engine.Operator) engine.Operator {
+				op = engine.NewCompute(op, "c", `(\k -> k < 50)`, vector.Bool, "k")
+				op = engine.NewFilter(op, `(\k -> (k < 0) || (k > 10000))`, "k")
+				return engine.NewFilter(op, `(\c -> c)`, "c")
+			},
+		},
 	}
 	for _, sp := range specs {
 		prog, ok := fused.Compile(scan, sp.stages)

@@ -23,12 +23,15 @@ func (e *Exec) runChunk(in *vector.Chunk) (*vector.Chunk, bool) {
 	if e.vals == nil {
 		e.vals = make([]*vector.Vector, e.prog.nvals)
 		e.bufs = make([][]*vector.Vector, len(e.prog.ops))
+		e.idx = make([]int32, 0, n)
 	}
 	for i := 0; i < in.Width(); i++ {
 		e.vals[i] = in.Col(i)
 	}
 	// rows is the physical length of the current values. While dense, every
-	// row is selected and idx is not materialized.
+	// row is selected and idx is not materialized. idx is never nil, so once
+	// not dense it selects exactly its rows, none when empty; a nil
+	// selection would mean every row.
 	rows, dense := n, in.Sel() == nil
 	if !dense {
 		e.idx = append(e.idx[:0], in.Sel()...)

@@ -94,12 +94,16 @@ func ExecInstr(env *Env, in *nir.Instr) (int, error) {
 		return f.Len(), nil
 
 	case nir.OpSelectCmp:
+		// Selections are freshly allocated, not recycled per register like
+		// OutBuf: maps pass their input's selection on by reference, so a
+		// loop-carried flow can still hold this register's last selection
+		// when the filter runs again.
 		f := env.FlowOf(in.A)
-		k, ok := primitive.SelectCmp(in.Kind, in.Cmp)
+		k, ok := primitive.SelectCmpInto(in.Kind, in.Cmp)
 		if !ok {
 			return 0, fmt.Errorf("interp: no kernel select.%v<%v>", in.Cmp, in.Kind)
 		}
-		sel := k(f.Vec, env.ScalarOf(in.B), f.Sel, 0, primitive.Span(f.Vec, f.Sel))
+		sel := k(nil, f.Vec, env.ScalarOf(in.B), f.Sel, 0, primitive.Span(f.Vec, f.Sel))
 		env.SetFlow(in.Dst, Flow{Vec: f.Vec, Sel: sel})
 		return f.Len(), nil
 

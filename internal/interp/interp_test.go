@@ -598,3 +598,51 @@ func TestFilterConstCoercion(t *testing.T) {
 		}
 	}
 }
+
+// TestEmptySelectionStaysEmpty: once a filter has removed every row, the
+// following selections must keep none. An empty selection is not the
+// absent one, which means every row.
+func TestEmptySelectionStaysEmpty(t *testing.T) {
+	for _, pred := range []string{
+		`(\x -> (x < 0) && (x > 5))`,
+		`(\x -> (x < 0) && ((x > 5) || (x == 7)))`,
+		`(\x -> ((x < 0) || (x > 100)) && (x > 5))`,
+	} {
+		out := vector.New(vector.I64, 0, 8)
+		src := fmt.Sprintf("let xs = read 0 data 8\nlet f = filter %s xs\nwrite out 0 (condense f)\n", pred)
+		for run := 0; run < 2; run++ {
+			out.SetLen(0)
+			runProgram(t, src, map[string]*vector.Vector{"data": vector.FromI64([]int64{3, 6, 7, 9}), "out": out})
+			if out.Len() != 0 {
+				t.Fatalf("filter %s, run %d: got %v, want []", pred, run, out.I64())
+			}
+		}
+	}
+}
+
+// TestFilterResultSurvivesRefilter: a loop-carried flow that holds a
+// filter's selection, by a move or through a map that passes the selection
+// on, keeps its rows when the filter runs again on the next iteration.
+func TestFilterResultSurvivesRefilter(t *testing.T) {
+	for _, carry := range []string{"t := u", `t := map (\x -> x + 0) u`} {
+		src := fmt.Sprintf(`
+mut t
+mut k
+t := read 0 data 8
+k := 0
+loop {
+  let u = filter (\x -> x > k) t
+  write out (k * 8) (condense t)
+  %s
+  k := k + 1
+  if k >= 3 then break
+}
+`, carry)
+		out := vector.New(vector.I64, 0, 24)
+		runProgram(t, src, map[string]*vector.Vector{"data": vector.FromI64([]int64{1, 2, 3, 4, 5, 6, 7, 8}), "out": out})
+		want := []int64{1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4, 5, 6, 7, 8, 2, 3, 4, 5, 6, 7, 8}
+		if fmt.Sprint(out.I64()) != fmt.Sprint(want) {
+			t.Fatalf("%s: got %v, want %v", carry, out.I64(), want)
+		}
+	}
+}

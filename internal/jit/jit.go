@@ -9,9 +9,6 @@
 //     windows, so each window of every intermediate stays L1-resident while
 //     all member operations consume it (one pass over the data instead of
 //     one pass per operation);
-//   - adjacent constant-operand map pairs run as one pair kernel
-//     ((a[i] op1 c1) op2 c2) that keeps the intermediate in its
-//     destination, so a constant chain needs no buffer of its own;
 //   - per-operation profiling disappears; the trace is measured as a whole,
 //     which is what the VM's micro-adaptive choice needs;
 //   - an optional guard captures the "situation" the trace is specialized
@@ -105,13 +102,13 @@ func Compile(prog *nir.Program, g *depgraph.Graph, frag *depgraph.Fragment, opt 
 	i := 0
 	for i < len(tr.instrs) {
 		if run := elementwiseRun(prog, tr.instrs, i); len(run) > 0 {
-			op, fusedOps, err := compileRun(prog, run, opt.TileSize)
+			op, err := compileRun(prog, run, opt.TileSize)
 			if err != nil {
 				return nil, err
 			}
 			tr.ops = append(tr.ops, op)
 			if len(run) > 1 {
-				parts = append(parts, fmt.Sprintf("fused×%d(%d passes)", len(run), fusedOps))
+				parts = append(parts, fmt.Sprintf("fused×%d", len(run)))
 			} else {
 				parts = append(parts, run[0].Op.String())
 			}
@@ -236,19 +233,13 @@ func compileSingle(in *nir.Instr) (compiledOp, error) {
 	return nil, fmt.Errorf("jit: operation %v is not compilable", in.Op)
 }
 
-// pass is one windowed kernel application inside a fused run: either a
-// bound element-wise kernel over operands a and b, or a fused constant pair
-// (pair non-nil) computing (a op1 s1) op2 s2 with s1, s2 in a2, b.
+// pass is one windowed kernel application inside a fused run: a bound
+// element-wise kernel over operands a and b.
 type pass struct {
 	dst  nir.Reg
 	kind vector.Kind
-	// covers lists the member instructions this pass implements (2 for a
-	// fused constant pair, else 1).
-	covers []*nir.Instr
-	k      primitive.Kernel
-	pair   primitive.PairFunc
-	a, a2  nir.Reg
-	b      nir.Reg
+	k    primitive.Kernel
+	a, b nir.Reg
 }
 
 // runCompiled is the compiled form of an element-wise run: a list of passes
@@ -260,16 +251,12 @@ type runCompiled struct {
 	tileSize int
 }
 
-func compileRun(prog *nir.Program, run []*nir.Instr, tileSize int) (compiledOp, int, error) {
+func compileRun(prog *nir.Program, run []*nir.Instr, tileSize int) (compiledOp, error) {
 	rc := &runCompiled{prog: prog, tileSize: tileSize}
 
 	defined := map[nir.Reg]bool{}
-	useCount := map[nir.Reg]int{}
 	for _, in := range run {
 		defined[in.Dst] = true
-		for _, u := range in.Uses() {
-			useCount[u]++
-		}
 	}
 	seen := map[nir.Reg]bool{}
 	for _, in := range run {
@@ -281,56 +268,16 @@ func compileRun(prog *nir.Program, run []*nir.Instr, tileSize int) (compiledOp, 
 		}
 	}
 	if len(rc.inputs) == 0 {
-		return nil, 0, fmt.Errorf("jit: element-wise run has no flow input")
+		return nil, fmt.Errorf("jit: element-wise run has no flow input")
 	}
-	usedOutside := map[nir.Reg]bool{}
-	inRun := map[*nir.Instr]bool{}
-	for _, m := range run {
-		inRun[m] = true
-	}
-	prog.Walk(func(other *nir.Instr) {
-		if inRun[other] {
-			return
-		}
-		for _, u := range other.Uses() {
-			usedOutside[u] = true
-		}
-	})
-
-	// Pair fusion: merge instrs[i] and instrs[i+1] when i+1 is a constant
-	// map consuming i's output, i's output is used nowhere else, and a
-	// fused kernel exists.
-	i := 0
-	for i < len(run) {
-		if i+1 < len(run) {
-			a, b := run[i], run[i+1]
-			if a.Op == nir.OpMapBin && b.Op == nir.OpMapBin &&
-				!prog.Reg(a.A).Scalar && prog.Reg(a.B).Scalar &&
-				b.A == a.Dst && prog.Reg(b.B).Scalar &&
-				a.Kind == b.Kind &&
-				!usedOutside[a.Dst] && useCount[a.Dst] == 1 {
-				if k, ok := primitive.MapPair(a.Kind, a.Arith, b.Arith); ok {
-					rc.passes = append(rc.passes, pass{
-						dst: b.Dst, kind: b.Kind, covers: []*nir.Instr{a, b},
-						pair: k, a: a.A, a2: a.B, b: b.B,
-					})
-					i += 2
-					continue
-				}
-			}
-		}
-		in := run[i]
+	for _, in := range run {
 		k, err := primitive.Bind(prog, in)
 		if err != nil {
-			return nil, 0, fmt.Errorf("jit: %w", err)
+			return nil, fmt.Errorf("jit: %w", err)
 		}
-		rc.passes = append(rc.passes, pass{
-			dst: in.Dst, kind: k.Out(), covers: []*nir.Instr{in},
-			k: k, a: in.A, b: in.B,
-		})
-		i++
+		rc.passes = append(rc.passes, pass{dst: in.Dst, kind: k.Out(), k: k, a: in.A, b: in.B})
 	}
-	return rc.run, len(rc.passes), nil
+	return rc.run, nil
 }
 
 // operand resolves a register to a kernel operand: a scalar, an in-run
@@ -389,12 +336,7 @@ func (rc *runCompiled) run(env *interp.Env) error {
 		}
 		for i := range rc.passes {
 			p := &rc.passes[i]
-			a := rc.operand(env, bufs, p.a)
-			if p.pair != nil {
-				p.pair(bufs[p.dst], a.Vec, env.ScalarOf(p.a2), env.ScalarOf(p.b), sel, lo, hi)
-				continue
-			}
-			p.k.Run(bufs[p.dst], a, rc.operand(env, bufs, p.b), sel, lo, hi)
+			p.k.Run(bufs[p.dst], rc.operand(env, bufs, p.a), rc.operand(env, bufs, p.b), sel, lo, hi)
 		}
 		if span == 0 {
 			break
@@ -403,7 +345,5 @@ func (rc *runCompiled) run(env *interp.Env) error {
 	for _, p := range rc.passes {
 		env.SetFlow(p.dst, interp.Flow{Vec: bufs[p.dst], Sel: sel})
 	}
-	// Mark covered intermediate dsts (fused-away) as aliases of their
-	// consumer? They are dead by construction; leave them unset.
 	return nil
 }

@@ -70,19 +70,6 @@ func registerNumber[T number](k vector.Kind) {
 	foldKernels[binKey{k, nir.AMul}] = foldMul[T]
 	foldKernels[binKey{k, nir.AMin}] = foldMin[T]
 	foldKernels[binKey{k, nir.AMax}] = foldMax[T]
-
-	// A pair runs its two constant maps back to back, the second in place
-	// on dst.
-	ops := []nir.ArithOp{nir.AAdd, nir.ASub, nir.AMul, nir.ADiv, nir.AMin, nir.AMax}
-	for _, op1 := range ops {
-		for _, op2 := range ops {
-			first, second := mapBinVS[binKey{k, op1}], mapBinVS[binKey{k, op2}]
-			pairKernels[pairKey{k, op1, op2}] = func(dst, a *vector.Vector, s1, s2 vector.Value, sel vector.Sel, lo, hi int) {
-				first(dst, a, s1, sel, lo, hi)
-				second(dst, dst, s2, sel, lo, hi)
-			}
-		}
-	}
 }
 
 // registerInteger adds the integer-only operators to registerNumber's set.
@@ -121,15 +108,12 @@ func registerBin(k vector.Kind, op nir.ArithOp, vv BinVVFunc, vs BinVSFunc, sv B
 }
 
 // registerCmp registers the comparison maps and, when sc is non-nil, the
-// selection kernel in its in-place and allocating forms.
+// selection kernel.
 func registerCmp(k vector.Kind, op nir.CmpOp, vv BinVVFunc, vs BinVSFunc, sv BinSVFunc, sc SelCmpIntoFunc) {
 	key := cmpKey{k, op}
 	mapCmpVV[key], mapCmpVS[key], mapCmpSV[key] = vv, vs, sv
 	if sc != nil {
 		selCmpInto[key] = sc
-		selCmp[key] = func(a *vector.Vector, b vector.Value, sel vector.Sel, lo, hi int) vector.Sel {
-			return sc(nil, a, b, sel, lo, hi)
-		}
 	}
 }
 
@@ -988,9 +972,9 @@ func geSV[T number](dst *vector.Vector, a vector.Value, b *vector.Vector, sel ve
 // alias sel.
 
 // selBuf returns dst resized to n entries, reallocating only when it is too
-// small.
+// small. The result is never nil: a nil selection would mean every row.
 func selBuf(dst vector.Sel, n int) vector.Sel {
-	if cap(dst) < n {
+	if dst == nil || cap(dst) < n {
 		return make(vector.Sel, n)
 	}
 	return dst[:n]

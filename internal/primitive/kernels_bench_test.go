@@ -67,8 +67,12 @@ func BenchmarkKernels(b *testing.B) {
 		run(b, n, func() { sum(vector.F64Value(0), f64a, nil, 0, n) })
 	})
 
-	mulAdd, _ := MapPair(vector.I64, nir.AMul, nir.AAdd)
+	mul, _ := MapBinVS(vector.I64, nir.AMul)
+	add, _ := MapBinVS(vector.I64, nir.AAdd)
 	b.Run("pair.mul.add.i64", func(b *testing.B) {
-		run(b, n, func() { mulAdd(dstI, i64a, vector.I64Value(3), vector.I64Value(7), nil, 0, n) })
+		run(b, n, func() {
+			mul(dstI, i64a, vector.I64Value(3), nil, 0, n)
+			add(dstI, dstI, vector.I64Value(7), nil, 0, n)
+		})
 	})
 }

@@ -53,27 +53,27 @@ func TestWindowedExecution(t *testing.T) {
 	}
 }
 
+// TestPairKernelsMatchComposition: (x*c1)+c2 as two constant maps, the
+// second in place on the first's output, equals the composition through a
+// separate intermediate buffer.
 func TestPairKernelsMatchComposition(t *testing.T) {
+	mul, _ := MapBinVS(vector.I64, nir.AMul)
+	add, _ := MapBinVS(vector.I64, nir.AAdd)
 	f := func(xs []int64, c1, c2 int16) bool {
 		if len(xs) == 0 {
 			return true
 		}
 		a := vector.FromI64(append([]int64(nil), xs...))
 		n := a.Len()
-		// (x*c1)+c2 via pair kernel vs two single kernels.
-		pair, ok := MapPair(vector.I64, nir.AMul, nir.AAdd)
-		if !ok {
-			return false
-		}
+		s1, s2 := vector.I64Value(int64(c1)), vector.I64Value(int64(c2))
 		got := vector.NewLen(vector.I64, n)
-		pair(got, a, vector.I64Value(int64(c1)), vector.I64Value(int64(c2)), nil, 0, n)
+		mul(got, a, s1, nil, 0, n)
+		add(got, got, s2, nil, 0, n)
 
-		mul, _ := MapBinVS(vector.I64, nir.AMul)
-		add, _ := MapBinVS(vector.I64, nir.AAdd)
 		tmp := vector.NewLen(vector.I64, n)
 		want := vector.NewLen(vector.I64, n)
-		mul(tmp, a, vector.I64Value(int64(c1)), nil, 0, n)
-		add(want, tmp, vector.I64Value(int64(c2)), nil, 0, n)
+		mul(tmp, a, s1, nil, 0, n)
+		add(want, tmp, s2, nil, 0, n)
 		return got.Equal(want)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -200,6 +200,29 @@ func TestSelectIntoAliasing(t *testing.T) {
 		if got := SelectFromBoolInto(buf, mask, src); !slices.Equal(got, want) || &got[0] != &buf[:1][0] {
 			t.Fatalf("SelectFromBoolInto sel=%v: got %v, want %v", sel, got, want)
 		}
+	}
+}
+
+// TestEmptySelectionIsNotNil: narrowing an empty selection into a nil dst
+// yields an empty selection, never nil, which would select every row.
+func TestEmptySelectionIsNotNil(t *testing.T) {
+	a := vector.FromI64([]int64{1, 2, 3})
+	for key, into := range selCmpInto {
+		v := fromValues(key.K, edges(key.K))
+		if got := into(nil, v, v.Get(0), vector.Sel{}, 0, 0); got == nil {
+			t.Fatalf("%v %v: empty selection narrowed to nil", key.K, key.Op)
+		}
+	}
+	lt, _ := SelectCmp(vector.I64, nir.CLt)
+	if got := lt(a, vector.I64Value(0), vector.Sel{}, 0, 0); got == nil {
+		t.Fatal("SelectCmp: empty selection narrowed to nil")
+	}
+	mask := vector.FromBool([]bool{true, true, true})
+	if got := SelectFromBoolInto(nil, mask, vector.Sel{}); got == nil {
+		t.Fatal("SelectFromBoolInto: empty selection narrowed to nil")
+	}
+	if got := SelectFromBoolInto(nil, vector.FromBool([]bool{false, false}), nil); got == nil {
+		t.Fatal("SelectFromBoolInto: no row kept, but the result is nil")
 	}
 }
 

@@ -53,9 +53,6 @@ type (
 	FoldFunc func(init vector.Value, a *vector.Vector, sel vector.Sel, lo, hi int) vector.Value
 	// CastFunc converts elements between kinds.
 	CastFunc func(dst, a *vector.Vector, sel vector.Sel, lo, hi int)
-	// PairFunc computes dst[i] = (a[i] op1 s1) op2 s2 without a buffer for
-	// the intermediate.
-	PairFunc func(dst, a *vector.Vector, b1, b2 vector.Value, sel vector.Sel, lo, hi int)
 )
 
 // Span returns the window upper bound for whole-chunk execution: len(sel)
@@ -86,11 +83,6 @@ type castKey struct {
 	From, To vector.Kind
 }
 
-type pairKey struct {
-	K        vector.Kind
-	Op1, Op2 nir.ArithOp
-}
-
 var (
 	mapBinVV    = map[binKey]BinVVFunc{}
 	mapBinVS    = map[binKey]BinVSFunc{}
@@ -99,11 +91,9 @@ var (
 	mapCmpVS    = map[cmpKey]BinVSFunc{}
 	mapCmpSV    = map[cmpKey]BinSVFunc{}
 	mapUn       = map[unKey]UnFunc{}
-	selCmp      = map[cmpKey]SelCmpFunc{}
 	selCmpInto  = map[cmpKey]SelCmpIntoFunc{}
 	foldKernels = map[binKey]FoldFunc{}
 	castKernels = map[castKey]CastFunc{}
-	pairKernels = map[pairKey]PairFunc{}
 )
 
 // Arg is one operand of a bound kernel: Vec for an operand read from a
@@ -235,11 +225,16 @@ func MapUn(k vector.Kind, op nir.UnaryOp) (UnFunc, bool) {
 	return f, ok
 }
 
-// SelectCmp looks up the fused selection kernel (filter against a scalar).
-// It returns a freshly allocated selection; see SelectCmpInto.
+// SelectCmp looks up the fused selection kernel (filter against a scalar)
+// in a form that returns a freshly allocated selection; see SelectCmpInto.
 func SelectCmp(k vector.Kind, op nir.CmpOp) (SelCmpFunc, bool) {
-	f, ok := selCmp[cmpKey{k, op}]
-	return f, ok
+	f, ok := selCmpInto[cmpKey{k, op}]
+	if !ok {
+		return nil, false
+	}
+	return func(a *vector.Vector, b vector.Value, sel vector.Sel, lo, hi int) vector.Sel {
+		return f(nil, a, b, sel, lo, hi)
+	}, true
 }
 
 // SelectCmpInto looks up the in-place form of the fused selection kernel.
@@ -260,20 +255,12 @@ func Cast(from, to vector.Kind) (CastFunc, bool) {
 	return f, ok
 }
 
-// MapPair looks up the two-op constant-chain kernel computing
-// (a[i] op1 s1) op2 s2.
-func MapPair(k vector.Kind, op1, op2 nir.ArithOp) (PairFunc, bool) {
-	f, ok := pairKernels[pairKey{k, op1, op2}]
-	return f, ok
-}
-
 // Count returns the number of registered kernels, the "pre-compiled at
 // startup" inventory the VM reports.
 func Count() int {
 	return len(mapBinVV) + len(mapBinVS) + len(mapBinSV) +
 		len(mapCmpVV) + len(mapCmpVS) + len(mapCmpSV) +
-		len(mapUn) + len(selCmp) + len(foldKernels) + len(castKernels) +
-		len(pairKernels)
+		len(mapUn) + len(selCmpInto) + len(foldKernels) + len(castKernels)
 }
 
 // ---------------------------------------------------------------------------
@@ -286,10 +273,14 @@ func SelectFromBool(mask *vector.Vector, sel vector.Sel) vector.Sel {
 }
 
 // SelectFromBoolInto is SelectFromBool writing into dst[:0]. dst may alias
-// sel: the writes trail the reads.
+// sel: the writes trail the reads. The result is never nil, even for a nil
+// dst, because a nil selection would mean every row.
 func SelectFromBoolInto(dst vector.Sel, mask *vector.Vector, sel vector.Sel) vector.Sel {
 	m := mask.Bool()
 	out := dst[:0]
+	if out == nil {
+		out = vector.Sel{}
+	}
 	if sel == nil {
 		for i := range m {
 			if m[i] {
